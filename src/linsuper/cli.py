@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -40,7 +40,7 @@ from .paths import (
     verify_certificate,
 )
 from .rationals import format_rational, parse_rational
-from .represent import is_representable, make_witness, make_witness
+from .represent import is_representable, make_witness
 from .ridge import (
     Direction,
     ParallelLinesParams,
@@ -80,11 +80,6 @@ class InstanceDocument:
     def incidence(self) -> IncidenceMatrix:
         return build_incidence(self.points, self.family)
 
-    def ridge(self) -> RidgeInstance:
-        if self.directions is None:
-            raise InputValidationError("this command needs ridge directions in the instance file")
-        return ridge_instance(self.directions, self.points)
-
 
 def _reject_float(literal: str) -> None:
     raise InputValidationError(
@@ -93,7 +88,12 @@ def _reject_float(literal: str) -> None:
     )
 
 
-def parse_instance_text(text: str) -> InstanceDocument:
+def parse_instance_text(text: str, quantize_eps: Fraction | None = None) -> InstanceDocument:
+    """Parse an instance document and quantize its family in a single pass.
+
+    `quantize_eps`, when given, replaces the file's `options.quantize_eps`;
+    the document records the eps and the merges of that one pass.
+    """
     doc = json.loads(text, parse_float=_reject_float)
     if not isinstance(doc, dict):
         raise InputValidationError("instance document must be a JSON object")
@@ -167,6 +167,8 @@ def parse_instance_text(text: str) -> InstanceDocument:
             target[pid] = parse_rational(value)
 
     options = _parse_options(doc.get("options"))
+    if quantize_eps is not None:
+        options = replace(options, quantize_eps=quantize_eps)
     merges: tuple[QuantizeMerge, ...] = ()
     if options.quantize_eps is not None and options.quantize_eps > 0:
         family, merges = quantize_family(family, options.quantize_eps)
@@ -196,13 +198,13 @@ def _parse_options(raw: Any) -> Options:
     return Options(mode, max_support, quantize_eps, seed)
 
 
-def load_instance(path: str | Path) -> InstanceDocument:
+def load_instance(path: str | Path, quantize_eps: Fraction | None = None) -> InstanceDocument:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputValidationError(f"cannot read instance file {path}: {exc}") from None
     try:
-        return parse_instance_text(text)
+        return parse_instance_text(text, quantize_eps)
     except json.JSONDecodeError as exc:
         raise InputValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
 
@@ -279,116 +281,67 @@ def render_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(report: dict, human: list[str], args: argparse.Namespace, elapsed: float) -> None:
-    if getattr(args, "output", None):
-        Path(args.output).write_text(render_report(report))
-    if getattr(args, "json", False):
-        sys.stdout.write(render_report(report))
-    else:
-        for line in human:
-            print(line)
-        print(f"elapsed: {elapsed * 1000:.1f} ms")
+def _vector_text(values: Sequence[Fraction]) -> str:
+    return "(" + ", ".join(format_rational(x) for x in values) + ")"
 
 
-def _merge_cli_options(doc: InstanceDocument, args: argparse.Namespace) -> Options:
-    opts = doc.options
-    mode = getattr(args, "mode", None)
-    if mode is None:
-        mode = opts.mode
-    max_support = getattr(args, "max_support", None)
-    if max_support is None:
-        max_support = opts.max_support
-    if max_support < 2:
+def _resolve_options(options: Options, args: argparse.Namespace) -> Options:
+    """The file's options with every flag given on the command line replacing its field."""
+    flags = {name: getattr(args, name, None) for name in ("mode", "max_support", "seed")}
+    options = replace(options, **{name: v for name, v in flags.items() if v is not None})
+    if options.max_support < 2:
         raise InputValidationError("--max-support must be at least 2")
-    seed = args.seed if getattr(args, "seed", None) is not None else opts.seed
-    return Options(mode, max_support, opts.quantize_eps, seed)
+    return options
 
 
-def _apply_cli_quantize(doc: InstanceDocument, args: argparse.Namespace) -> InstanceDocument:
-    eps_text = getattr(args, "quantize_eps", None)
-    if eps_text is None:
-        return doc
-    eps = parse_rational(eps_text)
-    if eps <= 0:
-        return doc
-    family, merges = quantize_family(doc.family, eps)
-    options = Options(doc.options.mode, doc.options.max_support, eps, doc.options.seed)
-    return InstanceDocument(
-        doc.points, family, doc.directions, doc.target, options, doc.quantize_merges + merges
-    )
+Outcome = tuple[dict, list[str], int]  # report fields, human lines, exit code
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    doc = _apply_cli_quantize(load_instance(args.instance), args)
-    options = _merge_cli_options(doc, args)
+def _detect(doc: InstanceDocument, options: Options, args: argparse.Namespace) -> Outcome:
     inc = doc.incidence()
     cert = detect(inc)
-    if cert is not None:
-        verify_certificate(inc, cert)
-    report = {
-        "format": FORMAT_VERSION,
-        "command": "detect",
-        "options": _options_jsonable(options),
+    fields = {
         "points": len(doc.points),
         "closed_path": cert is not None,
         "certificate": None if cert is None else _certificate_jsonable(cert),
-        "quantize_merges": _merges_jsonable(doc.quantize_merges),
     }
-    human = _human_quantize(doc)
     if cert is None:
-        human.append("no closed path: every function on these points is a superposition")
-    else:
-        human.append(f"closed path on point ids {list(cert.support)}")
-        human.append(
-            "lambda = (" + ", ".join(format_rational(x) for x in cert.integer_lambda()) + ")"
-        )
-    _emit(report, human, args, time.perf_counter() - start)
-    return 1 if cert is not None else 0
+        return fields, ["no closed path: every function on these points is a superposition"], 0
+    verify_certificate(inc, cert)
+    human = [
+        f"closed path on point ids {list(cert.support)}",
+        "lambda = " + _vector_text(cert.integer_lambda()),
+    ]
+    return fields, human, 1
 
 
-def _cmd_circuits(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    doc = _apply_cli_quantize(load_instance(args.instance), args)
-    options = _merge_cli_options(doc, args)
+def _circuits(doc: InstanceDocument, options: Options, args: argparse.Namespace) -> Outcome:
     inc = doc.incidence()
     certs = enumerate_minimal(inc, options.max_support, options.mode)
     for cert in certs:
         verify_certificate(inc, cert)
     truncated = options.mode == "exhaustive" and options.max_support < len(doc.points)
-    report = {
-        "format": FORMAT_VERSION,
-        "command": "circuits",
-        "options": _options_jsonable(options),
+    fields = {
         "points": len(doc.points),
         "count": len(certs),
         "circuits": [_certificate_jsonable(c) for c in certs],
         "truncated": truncated,
-        "quantize_merges": _merges_jsonable(doc.quantize_merges),
     }
-    human = _human_quantize(doc)
-    human.append(f"{len(certs)} minimal closed path(s) ({options.mode} mode)")
+    human = [f"{len(certs)} minimal closed path(s) ({options.mode} mode)"]
     for cert in certs:
         human.append(
-            f"  support {list(cert.support)}: lambda = ("
-            + ", ".join(format_rational(x) for x in cert.integer_lambda())
-            + ")"
+            f"  support {list(cert.support)}: lambda = " + _vector_text(cert.integer_lambda())
         )
     if truncated:
         human.append(f"note: enumeration capped at support size {options.max_support}")
-    _emit(report, human, args, time.perf_counter() - start)
-    return 1 if certs else 0
+    return fields, human, 1 if certs else 0
 
 
-def _cmd_represent(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    doc = _apply_cli_quantize(load_instance(args.instance), args)
-    options = _merge_cli_options(doc, args)
+def _represent(doc: InstanceDocument, options: Options, args: argparse.Namespace) -> Outcome:
     if doc.target is None:
         raise InputValidationError('represent needs a "target" table in the instance file')
     inc = doc.incidence()
     result = is_representable(inc, doc.target)
-    human = _human_quantize(doc)
     if result.representable:
         dec = result.decomposition
         g_tables = [
@@ -398,81 +351,49 @@ def _cmd_represent(args: argparse.Namespace) -> int:
             }
             for i, table in enumerate(dec.tables)
         ]
-        report = {
-            "format": FORMAT_VERSION,
-            "command": "represent",
-            "options": _options_jsonable(options),
-            "representable": True,
-            "g_tables": g_tables,
-            "freedom": dec.freedom,
-            "quantize_merges": _merges_jsonable(doc.quantize_merges),
-        }
-        human.append("representable: target = sum of univariate tables (reconstruction exact)")
-        human.append(f"solution affine space dimension: {dec.freedom}")
-        _emit(report, human, args, time.perf_counter() - start)
-        return 0
+        fields = {"representable": True, "g_tables": g_tables, "freedom": dec.freedom}
+        human = [
+            "representable: target = sum of univariate tables (reconstruction exact)",
+            f"solution affine space dimension: {dec.freedom}",
+        ]
+        return fields, human, 0
     verify_certificate(inc, result.violation)
     witness = make_witness(result.violation, doc.points)
-    report = {
-        "format": FORMAT_VERSION,
-        "command": "represent",
-        "options": _options_jsonable(options),
+    fields = {
         "representable": False,
         "violation": _certificate_jsonable(result.violation),
         "inner_product": format_rational(result.violation_value),
         "witness_f0": {str(pid): format_rational(v) for pid, v in witness.f0.items()},
         "witness_value": format_rational(witness.value),
-        "quantize_merges": _merges_jsonable(doc.quantize_merges),
     }
-    human.append("not representable: a closed-path functional does not vanish on the target")
-    human.append(
+    human = [
+        "not representable: a closed-path functional does not vanish on the target",
         f"violated support {list(result.violation.support)}, "
-        f"inner product {format_rational(result.violation_value)}"
-    )
-    _emit(report, human, args, time.perf_counter() - start)
-    return 1
+        f"inner product {format_rational(result.violation_value)}",
+    ]
+    return fields, human, 1
 
 
-def _cmd_ridge(args: argparse.Namespace) -> int:
-    if args.action == "classify":
-        return _ridge_classify(args)
-    if args.action == "hypercube":
-        return _ridge_hypercube(args)
-    return _run_generate(args)
-
-
-def _ridge_classify(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    doc = _apply_cli_quantize(load_instance(args.instance), args)
-    options = _merge_cli_options(doc, args)
-    instance = doc.ridge()
-    verdict = classify_ni(instance)
-    inc = build_incidence(instance.points, instance.family)
+def _classify(doc: InstanceDocument, options: Options, args: argparse.Namespace) -> Outcome:
+    if doc.directions is None:
+        raise InputValidationError("this command needs ridge directions in the instance file")
+    verdict = classify_ni(RidgeInstance(doc.directions, doc.points, doc.family))
     if verdict.certificate is not None:
-        verify_certificate(inc, verdict.certificate)
-    report = {
-        "format": FORMAT_VERSION,
-        "command": "ridge-classify",
-        "options": _options_jsonable(options),
+        verify_certificate(doc.incidence(), verdict.certificate)
+    fields = {
         "classification": verdict.kind,
         "m": None if verdict.m is None else [format_rational(x) for x in verdict.m],
         "certificate": None
         if verdict.certificate is None
         else _certificate_jsonable(verdict.certificate),
-        "quantize_merges": _merges_jsonable(doc.quantize_merges),
     }
-    human = _human_quantize(doc)
-    human.append(f"classification: {verdict.kind}")
+    human = [f"classification: {verdict.kind}"]
     if verdict.m is not None:
-        human.append("m = (" + ", ".join(format_rational(x) for x in verdict.m) + ")")
-    _emit(report, human, args, time.perf_counter() - start)
-    return 0 if verdict.kind == "interpolable" else 1
+        human.append("m = " + _vector_text(verdict.m))
+    return fields, human, 0 if verdict.kind == "interpolable" else 1
 
 
-def _ridge_hypercube(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
-    doc = load_instance(args.instance)
-    options = _merge_cli_options(doc, args)
+def _hypercube(doc: InstanceDocument, options: Options, args: argparse.Namespace) -> Outcome:
     if doc.directions is None:
         raise InputValidationError("hypercube needs ridge directions in the instance file")
     d = doc.directions[0].dimension
@@ -481,15 +402,8 @@ def _ridge_hypercube(args: argparse.Namespace) -> int:
         if args.center
         else [Fraction(0)] * d
     )
-    scale = parse_rational(args.scale)
-    path = hypercube_path(doc.directions, center, scale)
-    instance_doc = instance_to_jsonable(path.instance.points, directions=path.instance.directions)
-    if getattr(args, "emit_instance", None):
-        Path(args.emit_instance).write_text(render_report(instance_doc))
-    report = {
-        "format": FORMAT_VERSION,
-        "command": "ridge-hypercube",
-        "options": _options_jsonable(options),
+    path = hypercube_path(doc.directions, center, parse_rational(args.scale))
+    fields = {
         "center": [format_rational(c) for c in path.center],
         "offsets": [[format_rational(c) for c in off] for off in path.offsets],
         "points": [
@@ -497,14 +411,13 @@ def _ridge_hypercube(args: argparse.Namespace) -> int:
         ],
         "lambda": [format_rational(x) for x in path.lam],
         "verified": True,
-        "instance": instance_doc,
+        "instance": instance_to_jsonable(path.instance.points, directions=path.instance.directions),
     }
     human = [
         f"hypercube closed path with {len(path.lam)} points (verified exactly)",
-        "lambda = (" + ", ".join(format_rational(x) for x in path.lam) + ")",
+        "lambda = " + _vector_text(path.lam),
     ]
-    _emit(report, human, args, time.perf_counter() - start)
-    return 0
+    return fields, human, 0
 
 
 _GENERATOR_DEFAULT_DIRECTIONS = {
@@ -526,8 +439,7 @@ def _parse_vectors(text: str) -> list[tuple[Fraction, ...]]:
     return vectors
 
 
-def _run_generate(args: argparse.Namespace) -> int:
-    start = time.perf_counter()
+def _generate(args: argparse.Namespace) -> Outcome:
     kind = args.kind
     dirs_text = args.directions or _GENERATOR_DEFAULT_DIRECTIONS.get(kind)
     if kind == "staircase" and dirs_text is None:
@@ -569,36 +481,54 @@ def _run_generate(args: argparse.Namespace) -> int:
         raise InputValidationError(f"unknown kind {kind!r}")
 
     example = generate_pathfree_example(kind, params)
-    instance_doc = instance_to_jsonable(
-        example.instance.points, directions=example.instance.directions
-    )
-    if getattr(args, "emit_instance", None):
-        Path(args.emit_instance).write_text(render_report(instance_doc))
-    report = {
-        "format": FORMAT_VERSION,
-        "command": "generate",
+    fields = {
         "kind": kind,
         "note": example.note,
         "closed_path": not example.path_free,
         "points": len(example.instance.points),
-        "instance": instance_doc,
+        "instance": instance_to_jsonable(
+            example.instance.points, directions=example.instance.directions
+        ),
     }
     human = [
         f"generated {kind} sample with {len(example.instance.points)} points",
         f"detect: no closed path ({example.note})",
     ]
-    _emit(report, human, args, time.perf_counter() - start)
-    return 0
+    return fields, human, 0
 
 
-def _human_quantize(doc: InstanceDocument) -> list[str]:
-    lines = []
-    for merge in doc.quantize_merges:
-        lines.append(
-            f"QUANTIZE: function {merge.function_index} value "
-            f"{format_rational(merge.original)} merged into {format_rational(merge.replacement)}"
-        )
-    return lines
+def _run(args: argparse.Namespace) -> int:
+    """Load and quantize the instance once, analyse it, add the shared keys, emit."""
+    start = time.perf_counter()
+    report: dict[str, Any] = {"format": FORMAT_VERSION, "command": args.report}
+    if "instance" not in args:  # generate builds its sample from flags alone
+        fields, human, code = _generate(args)
+    else:
+        flag_eps = getattr(args, "quantize_eps", None)
+        doc = load_instance(args.instance, None if flag_eps is None else parse_rational(flag_eps))
+        options = _resolve_options(doc.options, args)
+        fields, human, code = args.analyse(doc, options, args)
+        report["options"] = _options_jsonable(options)
+        # the commands that take --quantize-eps are the ones that analyse the family
+        if "quantize_eps" in args:
+            report["quantize_merges"] = _merges_jsonable(doc.quantize_merges)
+            human = [
+                f"QUANTIZE: function {m.function_index} value "
+                f"{format_rational(m.original)} merged into {format_rational(m.replacement)}"
+                for m in doc.quantize_merges
+            ] + human
+    report.update(fields)
+    if getattr(args, "emit_instance", None):
+        Path(args.emit_instance).write_text(render_report(fields["instance"]))
+    if args.output:
+        Path(args.output).write_text(render_report(report))
+    if args.json:
+        sys.stdout.write(render_report(report))
+    else:
+        for line in human:
+            print(line)
+        print(f"elapsed: {(time.perf_counter() - start) * 1000:.1f} ms")
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -608,78 +538,79 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def output_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="print the machine report to stdout")
         p.add_argument("--output", metavar="PATH", help="write the machine report to a file")
+
+    def instance_command(parent, name, report, analyse, help, quantize=True):
+        p = parent.add_parser(name, help=help)
+        p.add_argument("instance")
+        output_flags(p)
         p.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
-        p.add_argument(
-            "--quantize-eps",
-            metavar="Q",
-            default=None,
-            help="cluster function values closer than Q (exact rational) before analysis",
-        )
+        if quantize:
+            p.add_argument(
+                "--quantize-eps",
+                metavar="Q",
+                default=None,
+                help="cluster function values closer than Q (exact rational) before analysis; "
+                "replaces options.quantize_eps",
+            )
+        p.set_defaults(report=report, analyse=analyse)
+        return p
 
-    p_detect = sub.add_parser("detect", help="find one closed path or prove there is none")
-    p_detect.add_argument("instance")
-    common(p_detect)
-    p_detect.set_defaults(func=_cmd_detect)
-
-    p_circ = sub.add_parser("circuits", help="enumerate minimal closed paths")
-    p_circ.add_argument("instance")
+    instance_command(
+        sub, "detect", "detect", _detect, "find one closed path or prove there is none"
+    )
+    p_circ = instance_command(
+        sub, "circuits", "circuits", _circuits, "enumerate minimal closed paths"
+    )
     p_circ.add_argument("--mode", choices=["fundamental", "exhaustive"], default=None)
     p_circ.add_argument("--max-support", type=int, default=None, dest="max_support")
-    common(p_circ)
-    p_circ.set_defaults(func=_cmd_circuits)
-
-    p_rep = sub.add_parser("represent", help="decide representability of the target table")
-    p_rep.add_argument("instance")
-    common(p_rep)
-    p_rep.set_defaults(func=_cmd_represent)
+    instance_command(
+        sub, "represent", "represent", _represent, "decide representability of the target table"
+    )
 
     p_ridge = sub.add_parser("ridge", help="ridge-direction analyses")
     ridge_sub = p_ridge.add_subparsers(dest="action", required=True)
-
-    p_cls = ridge_sub.add_parser("classify", help="interpolable / NI / MNI verdict")
-    p_cls.add_argument("instance")
-    common(p_cls)
-    p_cls.set_defaults(func=_cmd_ridge, action="classify")
-
-    p_hyp = ridge_sub.add_parser("hypercube", help="build the hypercube closed path")
-    p_hyp.add_argument("instance", help="instance file providing the ridge directions")
+    instance_command(
+        ridge_sub, "classify", "ridge-classify", _classify, "interpolable / NI / MNI verdict"
+    )
+    p_hyp = instance_command(
+        ridge_sub,
+        "hypercube",
+        "ridge-hypercube",
+        _hypercube,
+        "build the hypercube closed path for the instance's ridge directions",
+        quantize=False,
+    )
     p_hyp.add_argument("--center", default=None, help='center coordinates, e.g. "0,0"')
     p_hyp.add_argument("--scale", default="1", help="offset scale (exact rational)")
     p_hyp.add_argument(
         "--emit-instance", dest="emit_instance", metavar="PATH",
         help="write the generated points as an instance file",
     )
-    common(p_hyp)
-    p_hyp.set_defaults(func=_cmd_ridge, action="hypercube")
 
-    def add_generate(parent, name):
-        p_gen = parent.add_parser(name, help="emit a provably path-free sample configuration")
-        p_gen.add_argument(
-            "--kind",
-            required=True,
-            choices=["parallel-lines", "zigzag", "staircase", "transversal-curve"],
-        )
-        p_gen.add_argument("--directions", default=None, help='e.g. "1,0;0,1"')
-        p_gen.add_argument("--dimension", type=int, default=3, help="staircase: use basis directions of this dimension")
-        p_gen.add_argument("--line-direction", default="1,1", dest="line_direction")
-        p_gen.add_argument("--base1", default="0,0")
-        p_gen.add_argument("--base2", default="0,1")
-        p_gen.add_argument("--coefficients", default="0,1;1,2", help='curve polynomials, e.g. "0,1;1,2"')
-        p_gen.add_argument("--samples", type=int, default=8)
-        p_gen.add_argument("--start", default="0")
-        p_gen.add_argument("--step", default="1")
-        p_gen.add_argument(
-            "--emit-instance", dest="emit_instance", metavar="PATH",
-            help="write the generated sample as an instance file",
-        )
-        common(p_gen)
-        return p_gen
-
-    add_generate(sub, "generate").set_defaults(func=_run_generate)
-    add_generate(ridge_sub, "generate").set_defaults(func=_cmd_ridge, action="generate")
+    p_gen = sub.add_parser("generate", help="emit a provably path-free sample configuration")
+    p_gen.add_argument(
+        "--kind",
+        required=True,
+        choices=["parallel-lines", "zigzag", "staircase", "transversal-curve"],
+    )
+    p_gen.add_argument("--directions", default=None, help='e.g. "1,0;0,1"')
+    p_gen.add_argument("--dimension", type=int, default=3, help="staircase: use basis directions of this dimension")
+    p_gen.add_argument("--line-direction", default="1,1", dest="line_direction")
+    p_gen.add_argument("--base1", default="0,0")
+    p_gen.add_argument("--base2", default="0,1")
+    p_gen.add_argument("--coefficients", default="0,1;1,2", help='curve polynomials, e.g. "0,1;1,2"')
+    p_gen.add_argument("--samples", type=int, default=8)
+    p_gen.add_argument("--start", default="0")
+    p_gen.add_argument("--step", default="1")
+    p_gen.add_argument(
+        "--emit-instance", dest="emit_instance", metavar="PATH",
+        help="write the generated sample as an instance file",
+    )
+    output_flags(p_gen)
+    p_gen.set_defaults(report="generate")
 
     return parser
 
@@ -688,7 +619,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (InputValidationError, ConstraintError, ContractViolationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -66,9 +66,6 @@ class RationalMatrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def row_lists(self) -> list[list[Fraction]]:
         """Mutable copy of the rows, for elimination working storage."""
         return [list(self.row(i)) for i in range(self.rows)]

@@ -21,9 +21,9 @@ from math import floor
 from typing import Literal, Sequence
 
 from .errors import ConstraintError, InputValidationError, InternalInvariantError
-from .linalg import RationalMatrix, Vector, dot, integer_primitive, solve
+from .linalg import RationalMatrix, Vector, dot, kernel_basis, l1_normalized, solve
 from .model import FunctionFamily, IncidenceMatrix, Point, PointSet, build_incidence
-from .paths import ClosedPathCertificate, certify_minimal, detect, is_closed_path
+from .paths import ClosedPathCertificate, certificate_from_kernel_vector, detect, is_closed_path
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,10 +62,6 @@ class RidgeInstance:
     family: FunctionFamily
 
 
-def _dot_coords(a: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
-    return dot(tuple(a), tuple(x))
-
-
 def ridge_instance(directions: Sequence[Direction], points: PointSet) -> RidgeInstance:
     """Tabulate h_i(x_j) = a_i . x_j exactly and wrap it as an instance."""
     if not directions:
@@ -80,7 +76,7 @@ def ridge_instance(directions: Sequence[Direction], points: PointSet) -> RidgeIn
                 f"points have dimension {points.dimension}, directions have {dim}"
             )
     tables = tuple(
-        {p.id: _dot_coords(d.vector, p.coords) for p in points.points} for d in directions
+        {p.id: dot(d.vector, p.coords) for p in points.points} for d in directions
     )
     provenance = tuple(
         "ridge(" + ",".join(str(c) for c in d.vector) + ")" for d in directions
@@ -109,19 +105,22 @@ class NIClassification:
 
 
 def classify_ni(instance: RidgeInstance) -> NIClassification:
+    """Classify from one kernel basis of the full incidence matrix.
+
+    A trivial kernel means no closed path. The whole set is a minimal closed
+    path exactly when the kernel is a line whose generator has full support.
+    Otherwise the first basis vector, which is what `detect` reports, gives
+    both the certificate and `m`.
+    """
     inc = instance_incidence(instance)
-    cert = detect(inc)
-    if cert is None:
+    basis = kernel_basis(inc.matrix)
+    if not basis:
         return NIClassification("interpolable")
-    full = is_closed_path(inc, inc.point_ids) if inc.point_ids else None
-    if full is not None:
-        result = certify_minimal(inc, inc.point_ids)
-        if result.is_minimal:
-            m = integer_primitive(result.certificate.lam)
-            return NIClassification("MNI", m, result.certificate)
-    table = cert.as_table()
-    m = tuple(table.get(pid, _ZERO) for pid in inc.point_ids)
-    return NIClassification("NI", integer_primitive(m), cert)
+    generator = basis[0]  # integer, content 1, first nonzero entry positive
+    if len(basis) == 1 and all(generator):
+        cert = ClosedPathCertificate(inc.point_ids, l1_normalized(generator), True, True)
+        return NIClassification("MNI", generator, cert)
+    return NIClassification("NI", generator, certificate_from_kernel_vector(inc, generator))
 
 
 @dataclass(frozen=True)
@@ -368,7 +367,7 @@ def _build_parallel_lines(params: ParallelLinesParams) -> tuple[RidgeInstance, s
     if all(x == 0 for x in w):
         raise ConstraintError("line direction must be nonzero")
     for idx, dirn in enumerate(params.directions):
-        if _dot_coords(dirn.vector, w) == 0:
+        if dot(dirn.vector, w) == 0:
             raise ConstraintError(
                 f"line is perpendicular to direction {idx}: the level sets of that "
                 "direction contain whole line segments"

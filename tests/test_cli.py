@@ -1,9 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from linsuper import build_incidence, parse_rational, verify_certificate
+from linsuper import (
+    build_incidence,
+    coordinate_points,
+    direction,
+    parse_rational,
+    quantize_family,
+    ridge_instance,
+    verify_certificate,
+)
 from linsuper.cli import load_instance, main, parse_instance_text
 from linsuper.paths import ClosedPathCertificate
 
@@ -188,13 +200,82 @@ def test_generate_emits_instance_that_feeds_back(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_ridge_generate_matches_top_level_generate(capsys):
-    argv_tail = ["--kind", "zigzag", "--samples", "10", "--step", "1/2", "--json"]
-    assert main(["generate"] + argv_tail) == 0
-    top = capsys.readouterr().out
-    assert main(["ridge", "generate"] + argv_tail) == 0
-    nested = capsys.readouterr().out
-    assert top == nested
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ridge", "generate", "--kind", "zigzag"],
+        ["generate", "--kind", "zigzag", "--seed", "1"],
+        ["generate", "--kind", "zigzag", "--quantize-eps", "1/100"],
+        ["ridge", "hypercube", str(FIXTURES / "grid.json"), "--quantize-eps", "1/100"],
+    ],
+    ids=["ridge-generate", "generate-seed", "generate-quantize-eps", "hypercube-quantize-eps"],
+)
+def test_ridge_generate_and_unread_flags_are_usage_errors(capsys, argv):
+    # generate is a top-level command only; generate reports no options and
+    # hypercube never reads the family, so neither takes these flags
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+# Unquantized every x-class of this near-grid is a single point. At eps 1/100
+# the x-value 1001/1000 merges into 1 and points 1-4 close a path; 21/20 joins
+# that cluster only at eps >= 49/1000, so a file eps of 1/10 under a flag of
+# 1/100 tells one quantize pass from two.
+NEAR_GRID = [(0, 0), (0, 1), (1, 0), (Fraction(1001, 1000), 1), (Fraction(21, 20), 2)]
+
+
+@pytest.mark.parametrize(
+    "flag_eps,file_eps", [("1/100", None), (None, "1/100"), ("1/100", "1/10")],
+    ids=["flag", "file", "both"],
+)
+def test_every_command_agrees_on_the_quantized_near_grid(tmp_path, capsys, flag_eps, file_eps):
+    doc = {
+        "format": 1,
+        "points": [
+            {"id": k + 1, "coords": [str(x), str(y)]} for k, (x, y) in enumerate(NEAR_GRID)
+        ],
+        "functions": {"kind": "ridge", "directions": [["1", "0"], ["0", "1"]]},
+        # the sign function of the closed path, which no superposition matches
+        "target": {"1": "1", "2": "-1", "3": "-1", "4": "1", "5": "0"},
+    }
+    if file_eps is not None:
+        doc["options"] = {"quantize_eps": file_eps}
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(doc))
+    eps = flag_eps or file_eps
+    points = coordinate_points([(Fraction(x), Fraction(y)) for x, y in NEAR_GRID])
+    family = ridge_instance([direction((1, 0)), direction((0, 1))], points).family
+    inc = build_incidence(points, quantize_family(family, parse_rational(eps))[0])
+    flag = [] if flag_eps is None else ["--quantize-eps", flag_eps]
+    for command in (["detect"], ["circuits"], ["represent"], ["ridge", "classify"]):
+        assert main(command + [str(path), "--json"] + flag) == 1, command
+        report = json.loads(capsys.readouterr().out)
+        assert report["options"]["quantize_eps"] == eps
+        assert report["quantize_merges"] == [
+            {"function": 0, "original": "1001/1000", "replacement": "1"}
+        ]
+        payloads = list(_certificates_in(report))
+        assert payloads, command
+        for payload in payloads:
+            lam = tuple(parse_rational(x) for x in payload["lambda"])
+            verify_certificate(inc, ClosedPathCertificate(tuple(payload["support"]), lam))
+
+
+def test_python_dash_m_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "linsuper", *argv],
+            cwd=ROOT, env=env, capture_output=True, timeout=60,
+        )
+
+    proc = run("detect", "fixtures/five_point_path.json", "--json")
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == (EXPECTED / "five_point_path__detect.json").read_bytes()
+    assert run("ridge", "generate", "--kind", "zigzag").returncode == 2
 
 
 def test_hypercube_emits_verified_instance(tmp_path, capsys):

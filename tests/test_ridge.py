@@ -23,6 +23,8 @@ from linsuper import (
     triangle_wave,
 )
 
+from oracles import integer_rows, oracle_minimal_paths
+
 F = Fraction
 
 
@@ -63,6 +65,32 @@ def test_classify_empty_instance_is_interpolable():
 
     verdict = classify_ni(ridge_instance([direction((1, 0))], PointSet(())))
     assert verdict.kind == "interpolable"
+
+
+def test_classify_ni_agrees_with_the_oracle():
+    # grids of at most 3x3 against two or three of four plane directions keep
+    # the brute-force oracle cheap and make all three verdicts occur
+    rng = random.Random(20150121)
+    planes = [(1, 0), (0, 1), (1, 1), (1, -1)]
+    seen = set()
+    for _ in range(300):
+        grid = [(x, y) for x in range(rng.randint(2, 3)) for y in range(rng.randint(2, 3))]
+        coords = rng.sample(grid, rng.randint(4, min(8, len(grid))))
+        dirs = rng.sample(planes, 2 + (rng.random() < 0.25))
+        instance = ridge_instance(
+            [direction(d) for d in dirs], coordinate_points([(F(x), F(y)) for x, y in coords])
+        )
+        inc = instance_incidence(instance)
+        verdict = classify_ni(instance)
+        minimal = oracle_minimal_paths(inc)
+        assert (verdict.kind == "interpolable") == (not minimal)
+        assert (verdict.kind == "MNI") == (minimal == {frozenset(inc.point_ids)})
+        if verdict.m is not None:
+            assert any(verdict.m)
+            for row in integer_rows(inc):
+                assert sum(a * x for a, x in zip(row, verdict.m)) == 0
+        seen.add(verdict.kind)
+    assert seen == {"interpolable", "NI", "MNI"}
 
 
 def test_hypercube_square_from_diagonals():
