@@ -42,7 +42,6 @@ from .paths import (
     ClosedPathCertificate,
     FunctionalDecomposition,
     MinimalityResult,
-    PathFunctional,
     certificate_from_kernel_vector,
     certify_minimal,
     decompose_functional,
@@ -63,7 +62,6 @@ from .represent import (
     make_witness,
     representable_by_orthogonality,
     verify_permissible_implication,
-    witness_table,
 )
 from .ridge import (
     Direction,

@@ -63,7 +63,6 @@ class Options:
     mode: str = "fundamental"
     max_support: int = 8
     quantize_eps: Fraction | None = None
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -170,7 +169,7 @@ def parse_instance_text(text: str, quantize_eps: Fraction | None = None) -> Inst
     if quantize_eps is not None:
         options = replace(options, quantize_eps=quantize_eps)
     merges: tuple[QuantizeMerge, ...] = ()
-    if options.quantize_eps is not None and options.quantize_eps > 0:
+    if options.quantize_eps is not None:
         family, merges = quantize_family(family, options.quantize_eps)
     return InstanceDocument(point_set, family, directions, target, options, merges)
 
@@ -180,7 +179,7 @@ def _parse_options(raw: Any) -> Options:
         return Options()
     if not isinstance(raw, dict):
         raise InputValidationError('"options" must be an object')
-    known = {"mode", "max_support", "quantize_eps", "seed"}
+    known = {"mode", "max_support", "quantize_eps"}
     unknown = set(raw) - known
     if unknown:
         raise InputValidationError(f"unknown options {sorted(unknown)}")
@@ -192,10 +191,7 @@ def _parse_options(raw: Any) -> Options:
         raise InputValidationError("options.max_support must be an integer >= 2")
     eps = raw.get("quantize_eps")
     quantize_eps = parse_rational(eps) if eps is not None else None
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise InputValidationError("options.seed must be an integer")
-    return Options(mode, max_support, quantize_eps, seed)
+    return Options(mode, max_support, quantize_eps)
 
 
 def load_instance(path: str | Path, quantize_eps: Fraction | None = None) -> InstanceDocument:
@@ -253,7 +249,6 @@ def _options_jsonable(options: Options) -> dict:
         "quantize_eps": None
         if options.quantize_eps is None
         else format_rational(options.quantize_eps),
-        "seed": options.seed,
     }
 
 
@@ -287,7 +282,7 @@ def _vector_text(values: Sequence[Fraction]) -> str:
 
 def _resolve_options(options: Options, args: argparse.Namespace) -> Options:
     """The file's options with every flag given on the command line replacing its field."""
-    flags = {name: getattr(args, name, None) for name in ("mode", "max_support", "seed")}
+    flags = {name: getattr(args, name, None) for name in ("mode", "max_support")}
     options = replace(options, **{name: v for name, v in flags.items() if v is not None})
     if options.max_support < 2:
         raise InputValidationError("--max-support must be at least 2")
@@ -378,8 +373,6 @@ def _classify(doc: InstanceDocument, options: Options, args: argparse.Namespace)
     if doc.directions is None:
         raise InputValidationError("this command needs ridge directions in the instance file")
     verdict = classify_ni(RidgeInstance(doc.directions, doc.points, doc.family))
-    if verdict.certificate is not None:
-        verify_certificate(doc.incidence(), verdict.certificate)
     fields = {
         "classification": verdict.kind,
         "m": None if verdict.m is None else [format_rational(x) for x in verdict.m],
@@ -546,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = parent.add_parser(name, help=help)
         p.add_argument("instance")
         output_flags(p)
-        p.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
         if quantize:
             p.add_argument(
                 "--quantize-eps",

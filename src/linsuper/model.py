@@ -222,7 +222,7 @@ def quantize_family(
     caller is expected to surface the merges prominently. eps = 0 is a no-op.
     """
     if eps < 0:
-        raise InputValidationError("quantize epsilon must be nonnegative")
+        raise InputValidationError(f"quantize epsilon must be nonnegative, got {eps}")
     merges: list[QuantizeMerge] = []
     new_tables: list[dict[int, Fraction]] = []
     for i, table in enumerate(ff.tables):

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Mapping
+from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import ContractViolationError, InputValidationError, InternalInvariantError
-from .linalg import Vector, dot, integer_primitive, kernel_basis, l1_normalized
+from .linalg import Vector, integer_primitive, kernel_basis, l1_normalized
 from .model import IncidenceMatrix
 
 _ZERO = Fraction(0)
@@ -58,9 +58,6 @@ class ClosedPathCertificate:
         """Unit-l1 form of the coefficients, first entry positive."""
         return l1_normalized(self.lam)
 
-    def normalized_copy(self) -> "ClosedPathCertificate":
-        return ClosedPathCertificate(self.support, self.normalized_lambda(), True, self.minimal)
-
     def as_table(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.lam))
 
@@ -81,17 +78,8 @@ def verify_certificate(inc: IncidenceMatrix, cert: ClosedPathCertificate) -> Non
         raise InternalInvariantError("certificate vector does not annihilate the level classes")
 
 
-@dataclass(frozen=True)
-class PathFunctional:
-    """The linear functional f -> sum(lam_j * f(x_j)) attached to a certificate."""
-
-    certificate: ClosedPathCertificate
-
-    def evaluate(self, values: Mapping[int, Fraction]) -> Fraction:
-        return evaluate_certificate(self.certificate, values)
-
-
 def evaluate_certificate(cert: ClosedPathCertificate, values: Mapping[int, Fraction]) -> Fraction:
+    """The path functional f -> sum(lam_j * f(x_j)) evaluated on a table."""
     acc = _ZERO
     for pid, lam in zip(cert.support, cert.lam):
         try:
@@ -101,13 +89,11 @@ def evaluate_certificate(cert: ClosedPathCertificate, values: Mapping[int, Fract
     return acc
 
 
-def certificate_from_kernel_vector(
-    inc: IncidenceMatrix, vec: Vector, *, minimal: bool | None = None
-) -> ClosedPathCertificate:
+def certificate_from_kernel_vector(inc: IncidenceMatrix, vec: Vector) -> ClosedPathCertificate:
     """Restrict a full-length kernel vector to its support."""
     support = tuple(inc.point_ids[j] for j, x in enumerate(vec) if x)
     lam = tuple(x for x in vec if x)
-    return ClosedPathCertificate(support, lam, False, minimal)
+    return ClosedPathCertificate(support, lam)
 
 
 def detect(inc: IncidenceMatrix) -> ClosedPathCertificate | None:
@@ -123,32 +109,48 @@ def detect(inc: IncidenceMatrix) -> ClosedPathCertificate | None:
     return certificate_from_kernel_vector(inc, basis[0])
 
 
-def _restricted_kernel(inc: IncidenceMatrix, support: Iterable[int]) -> tuple[tuple[int, ...], list[Vector]]:
+def _circuit(point_ids: Sequence[int], vec: Vector) -> ClosedPathCertificate:
+    """The normalized minimal certificate on the support of a circuit vector.
+
+    Every canonical kernel vector is one: it is supported on its free column
+    f and on independent pivot columns (the fundamental circuit of f).
+    """
+    support = tuple(pid for pid, x in zip(point_ids, vec) if x)
+    return ClosedPathCertificate(support, l1_normalized([x for x in vec if x]), True, True)
+
+
+def _closed_kernel(inc: IncidenceMatrix, support: Iterable[int]) -> tuple[tuple[int, ...], list[Vector]]:
+    """The support in column order and its restricted kernel basis.
+
+    Raises ContractViolationError unless the support is a closed path,
+    i.e. unless some kernel vector has full support: a coordinate that
+    vanishes on every basis vector vanishes on the whole span.
+    """
     ordered = inc.sorted_support(support)
     if not ordered:
         raise InputValidationError("support must be nonempty")
-    return ordered, kernel_basis(inc.restricted(ordered))
+    basis = kernel_basis(inc.restricted(ordered))
+    if not basis or not all(map(any, zip(*basis))):
+        raise ContractViolationError(f"support {ordered} is not a closed path (no full-support kernel vector)")
+    return ordered, basis
 
 
-def _full_support_vector(basis: list[Vector], size: int) -> Vector | None:
-    """A full-support vector in the span of `basis`, or None when impossible.
+def is_closed_path(inc: IncidenceMatrix, support: Iterable[int]) -> Vector | None:
+    """Coefficient vector making `support` a closed path, or None.
 
-    If some coordinate vanishes on every basis vector it vanishes on the
-    whole span, so no full-support vector exists. Otherwise a combination
-    with coefficients 1, B, B^2, ... has, in each coordinate, a nonzero
-    polynomial in B of degree < len(basis); walking B upward from size+1
-    must escape all roots within size*(len(basis)-1)+1 attempts.
+    The returned vector is aligned with the support ids in column order,
+    has integer content-1 entries, all nonzero, and annihilates every level
+    class restricted to the support. For a basis of k vectors, the
+    combination with coefficients 1, B, B^2, ... has, in each coordinate, a
+    nonzero polynomial in B of degree < k; walking B upward from size+1
+    must escape all roots within size*(k-1)+1 attempts.
     """
-    if not basis:
+    try:
+        ordered, basis = _closed_kernel(inc, support)
+    except ContractViolationError:
         return None
-    k = len(basis)
-    for j in range(size):
-        if all(vec[j] == 0 for vec in basis):
-            return None
-    if k == 1:
-        return basis[0]
-    attempts = size * (k - 1) + 1
-    for b in range(size + 1, size + 1 + attempts):
+    size, k = len(ordered), len(basis)
+    for b in range(size + 1, size + 2 + size * (k - 1)):
         combo = [_ZERO] * size
         weight = Fraction(1)
         for vec in basis:
@@ -159,17 +161,6 @@ def _full_support_vector(basis: list[Vector], size: int) -> Vector | None:
         if all(combo):
             return integer_primitive(combo)
     raise InternalInvariantError("full-support search exhausted its root bound")  # pragma: no cover
-
-
-def is_closed_path(inc: IncidenceMatrix, support: Iterable[int]) -> Vector | None:
-    """Coefficient vector making `support` a closed path, or None.
-
-    The returned vector is aligned with the support ids in column order,
-    has integer content-1 entries, all nonzero, and annihilates every level
-    class restricted to the support.
-    """
-    ordered, basis = _restricted_kernel(inc, support)
-    return _full_support_vector(basis, len(ordered))
 
 
 @dataclass(frozen=True)
@@ -191,37 +182,22 @@ def certify_minimal(inc: IncidenceMatrix, support: Iterable[int]) -> MinimalityR
 
     A closed path is minimal iff the restricted kernel is one-dimensional
     (its generator then has full support): a proper-subset path would embed
-    a second, independent kernel vector. Raises ContractViolationError when
-    the support is not a closed path at all.
+    a second, independent kernel vector. The counterexample is the support
+    of the first canonical kernel vector, a circuit. Raises
+    ContractViolationError when the support is not a closed path at all.
     """
-    ordered, basis = _restricted_kernel(inc, support)
-    if not basis:
-        raise ContractViolationError(f"support {ordered} is not a closed path (trivial kernel)")
+    ordered, basis = _closed_kernel(inc, support)
+    first = _circuit(ordered, basis[0])
     if len(basis) == 1:
-        generator = basis[0]
-        if any(x == 0 for x in generator):
-            raise ContractViolationError(
-                f"support {ordered} is not a closed path (kernel generator has zero entries)"
-            )
-        cert = ClosedPathCertificate(ordered, l1_normalized(generator), True, True)
-        return MinimalityResult(True, certificate=cert)
-    if _full_support_vector(basis, len(ordered)) is None:
-        raise ContractViolationError(
-            f"support {ordered} is not a closed path (no full-support kernel vector)"
-        )
-    first = basis[0]
-    counterexample = tuple(pid for pid, x in zip(ordered, first) if x)
-    return MinimalityResult(False, counterexample=counterexample)
+        return MinimalityResult(True, certificate=first)
+    return MinimalityResult(False, counterexample=first.support)
 
 
 def find_minimal_within(inc: IncidenceMatrix, support: Iterable[int]) -> ClosedPathCertificate:
-    """Shrink a closed path to a minimal one by counterexample descent."""
-    current = tuple(support)
-    while True:
-        result = certify_minimal(inc, current)
-        if result.is_minimal:
-            return result.certificate
-        current = result.counterexample
+    """A minimal closed path inside a closed path: the first canonical
+    vector of the restricted kernel, which is a circuit."""
+    ordered, basis = _closed_kernel(inc, support)
+    return _circuit(ordered, basis[0])
 
 
 @dataclass(frozen=True)
@@ -257,13 +233,12 @@ def decompose_functional(
     zero residual.
     """
     verify_certificate(inc, cert)
-    theta = {pid: lam for pid, lam in zip(cert.support, cert.lam)}
+    theta = cert.as_table()
     terms: list[tuple[Fraction, ClosedPathCertificate]] = []
     while theta:
-        support = inc.sorted_support(theta)
-        minimal = find_minimal_within(inc, support)
+        minimal = find_minimal_within(inc, theta)
         x1 = minimal.support[0]
-        coeff = theta[x1] / minimal.as_table()[x1]
+        coeff = theta[x1] / minimal.lam[0]
         for pid, nu in zip(minimal.support, minimal.lam):
             new = theta.get(pid, _ZERO) - coeff * nu
             if new:
@@ -284,10 +259,10 @@ def enumerate_minimal(
 ) -> list[ClosedPathCertificate]:
     """Enumerate minimal closed paths.
 
-    fundamental: peel every fundamental kernel vector into minimal-path
-    terms and collect the distinct paths. The result spans the kernel of
-    the incidence matrix, which suffices for every representability
-    decision; its size is polynomial. max_support is ignored here.
+    fundamental: the fundamental circuits of the pivot basis, one per
+    kernel dimension: each canonical kernel vector of the incidence matrix
+    is a circuit. They form a basis of the kernel, which suffices for every
+    representability decision. max_support is ignored here.
 
     exhaustive: every minimal closed path with support size <= max_support,
     found by depth-first search over independent column sets; adding one
@@ -299,28 +274,16 @@ def enumerate_minimal(
     """
     if mode not in ("fundamental", "exhaustive"):
         raise InputValidationError(f"unknown enumeration mode {mode!r}")
-    if mode == "exhaustive":
-        if max_support is None or max_support < 2:
-            raise InputValidationError("exhaustive enumeration needs max_support >= 2")
-        found = _enumerate_circuits(inc, max_support)
-    else:
-        found = {}
-        for vec in kernel_basis(inc.matrix):
-            seed = certificate_from_kernel_vector(inc, vec)
-            for _, cert in decompose_functional(inc, seed).terms:
-                found.setdefault(cert.support, cert)
-    ordered = sorted(found.items(), key=lambda item: (len(item[0]), item[0]))
-    return [cert for _, cert in ordered]
-
-
-def _enumerate_circuits(
-    inc: IncidenceMatrix, max_support: int
-) -> dict[tuple[int, ...], ClosedPathCertificate]:
-    n = inc.n_points
-    found: dict[tuple[int, ...], ClosedPathCertificate] = {}
+    if mode == "fundamental":
+        # distinct: each support holds its own free column and no other one
+        certs = [_circuit(inc.point_ids, vec) for vec in kernel_basis(inc.matrix)]
+        return sorted(certs, key=lambda cert: (len(cert.support), cert.support))
+    if max_support is None or max_support < 2:
+        raise InputValidationError("exhaustive enumeration needs max_support >= 2")
+    found: dict[tuple[int, ...], ClosedPathCertificate] = {}  # by column indices
 
     def visit(columns: list[int], start: int) -> None:
-        for j in range(start, n):
+        for j in range(start, inc.n_points):
             candidate = columns + [j]
             basis = kernel_basis(inc.matrix.restrict_columns(candidate))
             if not basis:
@@ -329,11 +292,9 @@ def _enumerate_circuits(
                 continue
             # candidate was independent before j, so the kernel is a line and
             # its generator's support is the unique circuit through j.
-            generator = basis[0]
-            support = tuple(inc.point_ids[candidate[k]] for k, x in enumerate(generator) if x)
-            if support not in found:
-                lam = l1_normalized([x for x in generator if x])
-                found[support] = ClosedPathCertificate(support, lam, True, True)
+            circuit = tuple(c for c, x in zip(candidate, basis[0]) if x)
+            if circuit not in found:
+                found[circuit] = _circuit([inc.point_ids[c] for c in candidate], basis[0])
 
     visit([], 0)
-    return found
+    return sorted(found.values(), key=lambda cert: (len(cert.support), cert.support))

@@ -121,13 +121,6 @@ class Witness:
     value: Fraction
 
 
-def witness_table(cert: ClosedPathCertificate, point_ids: Sequence[int]) -> dict[int, Fraction]:
-    table = {pid: _ZERO for pid in point_ids}
-    for pid, lam in zip(cert.support, cert.lam):
-        table[pid] = Fraction(1) if lam > 0 else Fraction(-1)
-    return table
-
-
 def make_witness(cert: ClosedPathCertificate, points: PointSet | Sequence[int]) -> Witness:
     """Build the non-representable sign function for a certificate.
 
@@ -138,7 +131,9 @@ def make_witness(cert: ClosedPathCertificate, points: PointSet | Sequence[int]) 
     missing = [pid for pid in cert.support if pid not in point_ids]
     if missing:
         raise InputValidationError(f"certificate support {missing} is not part of the point set")
-    f0 = witness_table(cert, point_ids)
+    f0 = {pid: _ZERO for pid in point_ids}
+    for pid, lam in zip(cert.support, cert.lam):
+        f0[pid] = Fraction(1) if lam > 0 else Fraction(-1)
     value = evaluate_certificate(cert, f0)
     if value != sum(abs(x) for x in cert.lam):  # pragma: no cover - identity by construction
         raise InternalInvariantError("witness value is not the l1 norm of the certificate")

@@ -21,9 +21,9 @@ from math import floor
 from typing import Literal, Sequence
 
 from .errors import ConstraintError, InputValidationError, InternalInvariantError
-from .linalg import RationalMatrix, Vector, dot, kernel_basis, l1_normalized, solve
+from .linalg import RationalMatrix, Vector, dot, kernel_basis, solve
 from .model import FunctionFamily, IncidenceMatrix, Point, PointSet, build_incidence
-from .paths import ClosedPathCertificate, certificate_from_kernel_vector, detect, is_closed_path
+from .paths import ClosedPathCertificate, _circuit, certificate_from_kernel_vector, detect, verify_certificate
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -110,7 +110,8 @@ def classify_ni(instance: RidgeInstance) -> NIClassification:
     A trivial kernel means no closed path. The whole set is a minimal closed
     path exactly when the kernel is a line whose generator has full support.
     Otherwise the first basis vector, which is what `detect` reports, gives
-    both the certificate and `m`.
+    both the certificate and `m`. The certificate is verified before it is
+    returned.
     """
     inc = instance_incidence(instance)
     basis = kernel_basis(inc.matrix)
@@ -118,9 +119,11 @@ def classify_ni(instance: RidgeInstance) -> NIClassification:
         return NIClassification("interpolable")
     generator = basis[0]  # integer, content 1, first nonzero entry positive
     if len(basis) == 1 and all(generator):
-        cert = ClosedPathCertificate(inc.point_ids, l1_normalized(generator), True, True)
-        return NIClassification("MNI", generator, cert)
-    return NIClassification("NI", generator, certificate_from_kernel_vector(inc, generator))
+        verdict = NIClassification("MNI", generator, _circuit(inc.point_ids, generator))
+    else:
+        verdict = NIClassification("NI", generator, certificate_from_kernel_vector(inc, generator))
+    verify_certificate(inc, verdict.certificate)
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -259,19 +262,10 @@ def hypercube_path(
             lam = tuple(Fraction((-1) ** sum(eps)) for eps in epsilons)
             instance = ridge_instance(directions, points)
             path = HypercubePath(center_vec, tuple(offsets), epsilons, instance, lam)
-            _verify_hypercube(path)
+            # nonzero signs that annihilate every level class: a closed path
+            verify_certificate(instance_incidence(instance), path.certificate())
             return path
     raise InternalInvariantError("could not separate the hypercube points")  # pragma: no cover
-
-
-def _verify_hypercube(path: HypercubePath) -> None:
-    inc = instance_incidence(path.instance)
-    vec = is_closed_path(inc, inc.point_ids)
-    if vec is None:
-        raise InternalInvariantError("hypercube points are not a closed path")
-    product_check = inc.matrix.mul_vector(path.lam)
-    if any(product_check):
-        raise InternalInvariantError("hypercube signs do not annihilate the level classes")
 
 
 ExampleKind = Literal["parallel-lines", "zigzag", "staircase", "transversal-curve"]

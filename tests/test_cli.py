@@ -135,15 +135,42 @@ def test_missing_file_is_usage_error(capsys):
 
 
 def test_unknown_option_in_instance(tmp_path, capsys):
-    doc = {
-        "points": [{"id": 1}],
-        "functions": {"kind": "tabulated", "tables": [{"1": "0"}]},
-        "options": {"speed": "fast"},
-    }
-    path = tmp_path / "opt.json"
+    # nothing in the package is random, so a seed is an unknown option too
+    for name, value in (("speed", "fast"), ("seed", 0)):
+        doc = {
+            "points": [{"id": 1}],
+            "functions": {"kind": "tabulated", "tables": [{"1": "0"}]},
+            "options": {name: value},
+        }
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(doc))
+        assert main(["detect", str(path)]) == 2
+        assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("eps,code", [("-1/100", 2), ("0", 1)], ids=["negative", "zero"])
+def test_quantize_eps_is_validated_by_the_quantizer(tmp_path, capsys, source, eps, code):
+    doc = json.loads((FIXTURES / "five_point_path.json").read_text())
+    path = tmp_path / "instance.json"
+    argv = ["detect", str(path), "--json"]
+    if source == "flag":
+        argv.append(f"--quantize-eps={eps}")
+    else:
+        doc["options"] = {"quantize_eps": eps}
     path.write_text(json.dumps(doc))
-    assert main(["detect", str(path)]) == 2
-    assert "speed" in capsys.readouterr().err
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        # rejected by name, not silently skipped
+        assert captured.out == "" and eps in captured.err
+        return
+    # eps 0 merges nothing and is recorded
+    report = json.loads(captured.out)
+    assert report["options"]["quantize_eps"] == "0"
+    assert report["quantize_merges"] == []
+    golden = json.loads((FIXTURES / "expected" / "five_point_path__detect.json").read_text())
+    assert report["certificate"] == golden["certificate"]
 
 
 def test_quantize_merges_are_reported(tmp_path, capsys):
@@ -200,6 +227,24 @@ def test_generate_emits_instance_that_feeds_back(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_ridge_classify_builds_the_incidence_once(monkeypatch, capsys):
+    # classify_ni verifies its certificate on the matrix it built itself
+    import linsuper.cli
+    import linsuper.ridge
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_incidence(*args)
+
+    for module in (linsuper.cli, linsuper.ridge):
+        monkeypatch.setattr(module, "build_incidence", counting)
+    assert main(["ridge", "classify", str(FIXTURES / "grid.json"), "--json"]) == 1
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["classification"] == "MNI"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -207,12 +252,13 @@ def test_generate_emits_instance_that_feeds_back(tmp_path, capsys):
         ["generate", "--kind", "zigzag", "--seed", "1"],
         ["generate", "--kind", "zigzag", "--quantize-eps", "1/100"],
         ["ridge", "hypercube", str(FIXTURES / "grid.json"), "--quantize-eps", "1/100"],
+        ["detect", str(FIXTURES / "five_point_path.json"), "--seed", "1"],
     ],
-    ids=["ridge-generate", "generate-seed", "generate-quantize-eps", "hypercube-quantize-eps"],
+    ids=["ridge-generate", "generate-seed", "generate-quantize-eps", "hypercube-quantize-eps", "detect-seed"],
 )
 def test_ridge_generate_and_unread_flags_are_usage_errors(capsys, argv):
-    # generate is a top-level command only; generate reports no options and
-    # hypercube never reads the family, so neither takes these flags
+    # generate is a top-level command only; generate reports no options,
+    # hypercube never reads the family, and nothing reads a seed
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

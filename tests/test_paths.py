@@ -9,9 +9,9 @@ from linsuper import (
     ClosedPathCertificate,
     ContractViolationError,
     FunctionFamily,
-    PathFunctional,
     abstract_points,
     build_incidence,
+    certificate_from_kernel_vector,
     certify_minimal,
     decompose_functional,
     detect,
@@ -121,8 +121,9 @@ def test_certify_minimal_two_identical_points():
 
 def test_certify_minimal_requires_closed_path():
     inc = build_incidence(*simplex_corners(3))
-    with pytest.raises(ContractViolationError):
-        certify_minimal(inc, inc.point_ids)
+    for shrink in (certify_minimal, find_minimal_within):
+        with pytest.raises(ContractViolationError, match="not a closed path"):
+            shrink(inc, inc.point_ids)
 
 
 def test_enumerate_exhaustive_matches_oracle(inc6):
@@ -163,12 +164,23 @@ def test_fundamental_mode_spans_kernel(seed):
     ps, ff = random_instance(random.Random(seed), max_points=8)
     inc = build_incidence(ps, ff)
     certs = enumerate_minimal(inc, mode="fundamental")
-    dim = len(kernel_basis(inc.matrix))
+    basis = kernel_basis(inc.matrix)
+    dim = len(basis)
+    # one fundamental circuit per kernel dimension, each a true circuit
+    assert len(certs) == dim
+    oracle = oracle_minimal_paths(inc)
+    assert all(frozenset(cert.support) in oracle for cert in certs)
+    # the same paths that peeling the canonical kernel vectors yields
+    peeled = {}
+    for vec in basis:
+        seed_cert = certificate_from_kernel_vector(inc, vec)
+        for _, term in decompose_functional(inc, seed_cert).terms:
+            peeled.setdefault(term.support, term)
+    assert certs == sorted(peeled.values(), key=lambda c: (len(c.support), c.support))
     # embed each certificate over all points and measure the span
     from linsuper import RationalMatrix, rank
 
     if not certs:
-        assert dim == 0
         return
     rows = []
     for cert in certs:
@@ -221,7 +233,7 @@ def test_functionals_annihilate_superpositions(seed):
     g = random_superposition(rng, ps, ff)
     assert evaluate_certificate(cert, g) == 0
     for minimal_cert in enumerate_minimal(inc, mode="fundamental"):
-        assert PathFunctional(minimal_cert).evaluate(g) == 0
+        assert evaluate_certificate(minimal_cert, g) == 0
 
 
 def test_functional_linearity(inc5):
@@ -231,8 +243,8 @@ def test_functional_linearity(inc5):
     g = random_table(rng, inc5.point_ids)
     a, b = F(3, 2), F(-7, 3)
     combo = {pid: a * f[pid] + b * g[pid] for pid in inc5.point_ids}
-    func = PathFunctional(cert)
-    assert func.evaluate(combo) == a * func.evaluate(f) + b * func.evaluate(g)
+    expected = a * evaluate_certificate(cert, f) + b * evaluate_certificate(cert, g)
+    assert evaluate_certificate(cert, combo) == expected
 
 
 def test_minimal_certificate_unique_up_to_sign(inc5):

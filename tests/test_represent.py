@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linsuper import (
+    ClosedPathCertificate,
     InputValidationError,
     build_incidence,
     detect,
@@ -68,7 +69,8 @@ def test_make_witness_values(inc5):
 
 
 def test_witness_value_of_normalized_certificate(inc5):
-    cert = detect(inc5).normalized_copy()
+    found = detect(inc5)
+    cert = ClosedPathCertificate(found.support, found.normalized_lambda(), True)
     witness = make_witness(cert, (1, 2, 3, 4, 5))
     assert witness.value == 1
 
