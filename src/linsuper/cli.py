@@ -10,6 +10,7 @@ that failed its own re-verification, which should never happen).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -87,12 +88,8 @@ def _reject_float(literal: str) -> None:
     )
 
 
-def parse_instance_text(text: str, quantize_eps: Fraction | None = None) -> InstanceDocument:
-    """Parse an instance document and quantize its family in a single pass.
-
-    `quantize_eps`, when given, replaces the file's `options.quantize_eps`;
-    the document records the eps and the merges of that one pass.
-    """
+def parse_instance_text(text: str) -> InstanceDocument:
+    """Parse an instance document; its family is left as written."""
     doc = json.loads(text, parse_float=_reject_float)
     if not isinstance(doc, dict):
         raise InputValidationError("instance document must be a JSON object")
@@ -165,13 +162,7 @@ def parse_instance_text(text: str, quantize_eps: Fraction | None = None) -> Inst
                 raise InputValidationError(f"target mentions unknown point id {pid}")
             target[pid] = parse_rational(value)
 
-    options = _parse_options(doc.get("options"))
-    if quantize_eps is not None:
-        options = replace(options, quantize_eps=quantize_eps)
-    merges: tuple[QuantizeMerge, ...] = ()
-    if options.quantize_eps is not None:
-        family, merges = quantize_family(family, options.quantize_eps)
-    return InstanceDocument(point_set, family, directions, target, options, merges)
+    return InstanceDocument(point_set, family, directions, target, _parse_options(doc.get("options")))
 
 
 def _parse_options(raw: Any) -> Options:
@@ -194,15 +185,27 @@ def _parse_options(raw: Any) -> Options:
     return Options(mode, max_support, quantize_eps)
 
 
-def load_instance(path: str | Path, quantize_eps: Fraction | None = None) -> InstanceDocument:
+def load_instance(path: str | Path) -> InstanceDocument:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputValidationError(f"cannot read instance file {path}: {exc}") from None
     try:
-        return parse_instance_text(text, quantize_eps)
+        return parse_instance_text(text)
     except json.JSONDecodeError as exc:
         raise InputValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+
+
+def _quantized(doc: InstanceDocument, flag_eps: str | None) -> InstanceDocument:
+    """The family quantized in one pass, by the flag's eps if given, else by
+    `options.quantize_eps`; the document records that eps and its merges."""
+    options = doc.options
+    if flag_eps is not None:
+        options = replace(options, quantize_eps=parse_rational(flag_eps))
+    if options.quantize_eps is None:
+        return doc
+    family, merges = quantize_family(doc.family, options.quantize_eps)
+    return replace(doc, family=family, options=options, quantize_merges=merges)
 
 
 def instance_to_jsonable(
@@ -491,19 +494,22 @@ def _generate(args: argparse.Namespace) -> Outcome:
 
 
 def _run(args: argparse.Namespace) -> int:
-    """Load and quantize the instance once, analyse it, add the shared keys, emit."""
+    """Load the instance, quantize it once if the command reads its family,
+    analyse it, add the shared keys, emit."""
     start = time.perf_counter()
     report: dict[str, Any] = {"format": FORMAT_VERSION, "command": args.report}
     if "instance" not in args:  # generate builds its sample from flags alone
         fields, human, code = _generate(args)
     else:
-        flag_eps = getattr(args, "quantize_eps", None)
-        doc = load_instance(args.instance, None if flag_eps is None else parse_rational(flag_eps))
+        doc = load_instance(args.instance)
+        # the commands that take --quantize-eps are the ones that read the family
+        quantize = "quantize_eps" in args
+        if quantize:
+            doc = _quantized(doc, args.quantize_eps)
         options = _resolve_options(doc.options, args)
         fields, human, code = args.analyse(doc, options, args)
         report["options"] = _options_jsonable(options)
-        # the commands that take --quantize-eps are the ones that analyse the family
-        if "quantize_eps" in args:
+        if quantize:
             report["quantize_merges"] = _merges_jsonable(doc.quantize_merges)
             human = [
                 f"QUANTIZE: function {m.function_index} value "
@@ -524,7 +530,9 @@ def _run(args: argparse.Namespace) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: parsing leaves it unchanged and its defaults are immutable."""
     parser = argparse.ArgumentParser(
         prog="linsuper",
         description="Exact closed-path analysis of linear superpositions on finite point sets.",

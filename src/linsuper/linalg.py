@@ -1,9 +1,10 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Every entry is a fractions.Fraction and every result is exact; there is no
-floating point anywhere in this module. Matrices are small (desk-scale
-instances have at most a few hundred columns), so a dense row-major layout
-and plain Gauss-Jordan elimination are all that is needed.
+floating point anywhere in this module. Matrices are stored dense, but the
+one elimination, `rref`, runs on sparse integer rows (a 0/1 incidence matrix
+has r ones per column), fraction-free in the manner of Bareiss; kernel, rank
+and solve are read off its reduced form.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
 
+# Shared with the incidence matrix: `x is not _ZERO` skips the slow
+# Fraction.__bool__ on the zeros that fill it and every kernel vector.
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -66,12 +69,8 @@ class RationalMatrix:
     def row(self, i: int) -> Vector:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def row_lists(self) -> list[list[Fraction]]:
-        """Mutable copy of the rows, for elimination working storage."""
-        return [list(self.row(i)) for i in range(self.rows)]
-
     def transpose(self) -> "RationalMatrix":
-        flat = tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows))
+        flat = tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols])
         return RationalMatrix(self.cols, self.rows, flat)
 
     def mul_vector(self, v: Sequence[Fraction]) -> Vector:
@@ -91,7 +90,7 @@ class RationalMatrix:
         for j in keep:
             if not 0 <= j < self.cols:
                 raise ValueError(f"column index {j} out of range")
-        flat = tuple(self.at(i, j) for i in range(self.rows) for j in keep)
+        flat = tuple(row[j] for row in map(self.row, range(self.rows)) for j in keep)
         return RationalMatrix(self.rows, len(keep), flat)
 
 
@@ -100,44 +99,61 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
         raise ValueError("dot product of vectors with different lengths")
     acc = _ZERO
     for a, b in zip(u, v):
-        if a and b:
+        if a is not _ZERO and a and b:
             acc += a * b
     return acc
+
+
+def _reduce(row: dict[int, int], prow: dict[int, int], pc: int) -> None:
+    """Clear column pc of row in place: p*row - c*prow, divided by its content."""
+    p, c = prow[pc], row[pc]
+    if p != 1:
+        for j in row:
+            row[j] *= p
+    for j, v in prow.items():
+        x = row.get(j, 0) - c * v
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the ordered pivot columns.
 
-    Gauss-Jordan with the first nonzero candidate as pivot; exact arithmetic
-    needs no pivoting strategy. Row space is preserved and the result is
-    idempotent.
+    Gauss-Jordan on rows scaled to sparse integer {col: value} maps; Fractions
+    are formed only to read the result out. Since the reduced form is unique,
+    any row holding the pivot column can be its pivot: the sparsest keeps
+    fill-in low.
     """
-    work = m.row_lists()
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(m.cols):
-        pivot_row = None
-        for i in range(pr, m.rows):
-            if work[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    cols = m.cols
+    pending: list[dict[int, int]] = []
+    for i in range(m.rows):
+        row = {j: x for j, x in enumerate(m.row(i)) if x is not _ZERO and x}
+        denom = lcm(*(x.denominator for x in row.values()))
+        pending.append({j: x.numerator * (denom // x.denominator) for j, x in row.items()})
+    done: list[tuple[int, dict[int, int]]] = []
+    for pc in range(cols):
+        hits = [row for row in pending if pc in row]
+        if not hits:
             continue
-        if pivot_row != pr:
-            work[pr], work[pivot_row] = work[pivot_row], work[pr]
-        scale = work[pr][pc]
-        if scale != 1:
-            work[pr] = [x / scale for x in work[pr]]
-        prow = work[pr]
-        for i in range(m.rows):
-            if i != pr and work[i][pc]:
-                c = work[i][pc]
-                work[i] = [a - c * b for a, b in zip(work[i], prow)]
-        pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
-            break
-    return RationalMatrix.from_rows(work, cols=m.cols), tuple(pivots)
+        prow = min(hits, key=len)
+        for row in hits + [row for _, row in done if pc in row]:
+            if row is not prow:
+                _reduce(row, prow, pc)
+        pending = [row for row in pending if row and row is not prow]
+        done.append((pc, prow))
+    flat = [_ZERO] * (m.rows * cols)
+    for i, (pc, row) in enumerate(done):
+        base, p = i * cols, row[pc]
+        for j, v in row.items():
+            flat[base + j] = Fraction(v, p)
+        flat[base + pc] = _ONE
+    return RationalMatrix(m.rows, cols, tuple(flat)), tuple(pc for pc, _ in done)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -151,22 +167,16 @@ def integer_primitive(vec: Iterable[Fraction]) -> Vector:
     vector is returned unchanged. This is the canonical representative of
     the vector's ray, used to make kernel output reproducible.
     """
-    items = list(vec)
-    denom = 1
-    for x in items:
-        denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in items]
-    g = 0
-    for z in ints:
-        g = gcd(g, abs(z))
-    if g > 1:
-        ints = [z // g for z in ints]
-    for z in ints:
-        if z:
-            if z < 0:
-                ints = [-w for w in ints]
-            break
-    return tuple(Fraction(z) for z in ints)
+    items = tuple(vec)
+    nonzero = [(j, x) for j, x in enumerate(items) if x is not _ZERO and x]
+    out = [_ZERO] * len(items)
+    if nonzero:
+        denom = lcm(*(x.denominator for _, x in nonzero))
+        ints = [x.numerator * (denom // x.denominator) for _, x in nonzero]
+        g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
+        for (j, _), z in zip(nonzero, ints):
+            out[j] = Fraction(z // g)
+    return tuple(out)
 
 
 def l1_normalized(vec: Iterable[Fraction]) -> Vector:
@@ -192,16 +202,17 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
     0), rescaled by integer_primitive. The list is ordered by free column.
     """
     reduced, pivots = rref(m)
+    cols = m.cols
     pivot_set = set(pivots)
     basis: list[Vector] = []
-    for fc in range(m.cols):
+    for fc in range(cols):
         if fc in pivot_set:
             continue
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * cols
         v[fc] = _ONE
-        for row_idx, pc in enumerate(pivots):
-            coeff = reduced.at(row_idx, fc)
-            if coeff:
+        for base, pc in zip(range(fc, len(pivots) * cols, cols), pivots):
+            coeff = reduced.entries[base]
+            if coeff is not _ZERO:
                 v[pc] = -coeff
         basis.append(integer_primitive(v))
     return basis
@@ -228,9 +239,11 @@ def solve(m: RationalMatrix, b: Sequence[Fraction]) -> SolveResult:
         raise ValueError(f"right-hand side length {len(b)} != rows {m.rows}")
     if m.rows == 0:
         return SolveResult((_ZERO,) * m.cols, None, 0)
-    aug = RationalMatrix.from_rows(
-        [list(m.row(i)) + [Fraction(b[i])] for i in range(m.rows)], cols=m.cols + 1
-    )
+    flat: list[Fraction] = []
+    for i, rhs in enumerate(b):
+        flat.extend(m.row(i))
+        flat.append(Fraction(rhs))
+    aug = RationalMatrix(m.rows, m.cols + 1, tuple(flat))
     reduced, pivots = rref(aug)
     if pivots and pivots[-1] == m.cols:
         conflict = reduced.row(len(pivots) - 1)

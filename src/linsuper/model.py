@@ -16,14 +16,12 @@ quantize_family pass, which reports every merge it performs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputValidationError, InternalInvariantError
-from .linalg import RationalMatrix
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import _ONE, _ZERO, RationalMatrix
 
 
 @dataclass(frozen=True)
@@ -190,16 +188,14 @@ class IncidenceMatrix:
 def build_incidence(ps: PointSet, ff: FunctionFamily) -> IncidenceMatrix:
     classes = build_level_classes(ps, ff)
     ids = ps.ids
-    rows = [
-        [(_ONE if pid in cls.members else _ZERO) for pid in ids]
-        for cls in classes
-    ]
-    matrix = RationalMatrix.from_rows(rows, cols=len(ids))
-    for j in range(matrix.cols):
-        ones = sum(1 for i in range(matrix.rows) if matrix.at(i, j))
-        if ones != ff.r:  # pragma: no cover - construction guarantees this
-            raise InternalInvariantError(f"column {j} lies in {ones} classes, expected {ff.r}")
-    return IncidenceMatrix(matrix, classes, ids)
+    flat: list[Fraction] = []
+    for cls in classes:
+        flat.extend(_ONE if pid in cls.members else _ZERO for pid in ids)
+    counts = Counter(pid for cls in classes for pid in cls.members)
+    for j, pid in enumerate(ids):
+        if counts[pid] != ff.r:  # pragma: no cover - construction guarantees this
+            raise InternalInvariantError(f"column {j} lies in {counts[pid]} classes, expected {ff.r}")
+    return IncidenceMatrix(RationalMatrix(len(classes), len(ids), tuple(flat)), classes, ids)
 
 
 @dataclass(frozen=True)

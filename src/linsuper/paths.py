@@ -66,16 +66,17 @@ def verify_certificate(inc: IncidenceMatrix, cert: ClosedPathCertificate) -> Non
     """Re-verify a certificate against the instance; raise if it fails.
 
     Checks the support ids, that all coefficients are nonzero, and that the
-    restricted matrix times the coefficient vector is exactly zero.
+    coefficients sum to exactly zero over every level class.
     """
     ordered = inc.sorted_support(cert.support)
     if ordered != cert.support:
         raise InternalInvariantError(f"certificate support {cert.support} is not in column order")
     if any(x == 0 for x in cert.lam):
         raise InternalInvariantError("certificate carries a zero coefficient")
-    product = inc.restricted(cert.support).mul_vector(cert.lam)
-    if any(product):
-        raise InternalInvariantError("certificate vector does not annihilate the level classes")
+    table = cert.as_table()
+    for cls in inc.classes:
+        if sum(table[pid] for pid in cls.members if pid in table):
+            raise InternalInvariantError("certificate vector does not annihilate the level classes")
 
 
 def evaluate_certificate(cert: ClosedPathCertificate, values: Mapping[int, Fraction]) -> Fraction:

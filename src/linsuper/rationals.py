@@ -7,9 +7,27 @@ arithmetic downstream.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import InputValidationError
+
+
+def _check_literal_size(text: str) -> None:
+    """Refuse, from the text alone, a literal whose value Python could not print:
+    its numerator and denominator have at most as many digits as its longer
+    "p/q" part has characters, plus its exponent's magnitude ("1e1000000000"
+    asks for a billion digits)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300  # Python's default
+    mantissa, _, exponent = text.lower().partition("e")
+    size = max(map(len, mantissa.lstrip("+-").split("/")))
+    exp = exponent.lstrip("+-").replace("_", "").lstrip("0")
+    size += int(exp[: len(str(limit)) + 1]) if exp.isdigit() else 0  # one digit more exceeds it
+    if size > limit:
+        raise InputValidationError(
+            f"rational literal {text[:20]!r}{'...' if len(text) > 20 else ''} is too large: "
+            f"its digits and exponent exceed the limit of {limit} digits"
+        )
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -30,6 +48,7 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
             f"float literal {value!r} is not exact; write it as a string, e.g. \"1/3\" or \"0.25\""
         )
     if isinstance(value, str):
+        _check_literal_size(value.strip())
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

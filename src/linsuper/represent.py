@@ -34,9 +34,9 @@ FunctionTable = Mapping[int, Fraction]
 
 def _column_values(inc: IncidenceMatrix, f: FunctionTable) -> list[Fraction]:
     """Values of f in column order; reject missing or unknown point ids."""
-    unknown = [pid for pid in f if pid not in inc.point_ids]
+    unknown = sorted(set(f) - set(inc.point_ids))
     if unknown:
-        raise InputValidationError(f"function table mentions unknown point ids {sorted(unknown)}")
+        raise InputValidationError(f"function table mentions unknown point ids {unknown}")
     values = []
     for pid in inc.point_ids:
         if pid not in f:
@@ -82,13 +82,15 @@ def is_representable(inc: IncidenceMatrix, f: FunctionTable) -> RepresentationRe
         tables: tuple[dict[Fraction, Fraction], ...] = tuple(
             {} for _ in range(max(cls.function_index for cls in inc.classes) + 1)
         ) if inc.classes else ()
-        for row_idx, cls in enumerate(inc.classes):
-            tables[cls.function_index][cls.value] = g[row_idx]
-        reconstruction = dict(zip(inc.point_ids, transposed.mul_vector(g)))
+        reconstruction = dict.fromkeys(inc.point_ids, _ZERO)
+        for cls, value in zip(inc.classes, g):
+            tables[cls.function_index][cls.value] = value
+            for pid in cls.members:
+                reconstruction[pid] += value
         for pid, expected in zip(inc.point_ids, values):
             if reconstruction[pid] != expected:  # pragma: no cover - solve is exact
                 raise InternalInvariantError(f"reconstruction differs from f at point {pid}")
-        freedom = transposed.cols - outcome.rank
+        freedom = len(inc.classes) - outcome.rank
         return RepresentationResult(True, decomposition=Decomposition(tables, freedom, reconstruction))
     for vec in kernel_basis(inc.matrix):
         value = dot(vec, values)

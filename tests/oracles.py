@@ -7,10 +7,14 @@ and dropping any single column leaves the rank unchanged (every column then
 lies in the span of the others, so a generic kernel combination touches all
 of them). Keeping the criterion and the elimination code separate from the
 package is what makes the cross-checks in the test suite meaningful.
+
+`dense_rref`, `dense_kernel` and `dense_solve` are a plain dense Gauss-Jordan
+over Fraction, the reference the sparse elimination engine must match.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -98,3 +102,56 @@ def random_superposition(
         pid: sum(outer[i][ff.value_at(i, pid)] for i in range(ff.r))
         for pid in ps.ids
     }
+
+
+def dense_rref(rows: list[list[Fraction]], cols: int) -> tuple[list[list[Fraction]], tuple[int, ...]]:
+    """Reduced row echelon form by dense Gauss-Jordan over Fraction.
+
+    The elimination the package used before its sparse integer engine,
+    kept as the reference the engine must match exactly.
+    """
+    work = [list(row) for row in rows]
+    pivots: list[int] = []
+    for pc in range(cols):
+        pr = len(pivots)
+        found = next((i for i in range(pr, len(work)) if work[i][pc]), None)
+        if found is None:
+            continue
+        work[pr], work[found] = work[found], work[pr]
+        work[pr] = [x / work[pr][pc] for x in work[pr]]
+        for i in range(len(work)):
+            if i != pr and work[i][pc]:
+                c = work[i][pc]
+                work[i] = [a - c * b for a, b in zip(work[i], work[pr])]
+        pivots.append(pc)
+    return work, tuple(pivots)
+
+
+def dense_kernel(rows: list[list[Fraction]], cols: int) -> list[tuple[Fraction, ...]]:
+    """Free-variable kernel vectors of the reference rref, integer, content 1,
+    first nonzero entry positive, ordered by free column."""
+    reduced, pivots = dense_rref(rows, cols)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        denom = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * denom) for x in v]
+        g = math.gcd(*ints) * (1 if next(z for z in ints if z) > 0 else -1)
+        basis.append(tuple(Fraction(z // g) for z in ints))
+    return basis
+
+
+def dense_solve(rows: list[list[Fraction]], b: list[Fraction], cols: int):
+    """(solution with free variables zero or None, conflict row or None, rank)."""
+    if not rows:
+        return (Fraction(0),) * cols, None, 0
+    reduced, pivots = dense_rref([row + [rhs] for row, rhs in zip(rows, b)], cols + 1)
+    if pivots and pivots[-1] == cols:
+        return None, tuple(reduced[len(pivots) - 1]), len(pivots) - 1
+    x = [Fraction(0)] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced[r][cols]
+    return tuple(x), None, len(pivots)

@@ -409,3 +409,77 @@ def test_target_unknown_id_rejected(tmp_path):
     )
     with pytest.raises(InputValidationError, match="unknown point id 7"):
         parse_instance_text(text)
+
+
+def test_ridge_hypercube_does_not_quantize_the_family(monkeypatch, tmp_path, capsys):
+    # hypercube never reads the family, so an eps it would reject does not matter
+    import linsuper.cli
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return quantize_family(*args)
+
+    monkeypatch.setattr(linsuper.cli, "quantize_family", counting)
+    doc = json.loads((FIXTURES / "grid.json").read_text())
+    doc["options"] = {"quantize_eps": "-1/100"}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ridge", "hypercube", str(path), "--json"]) == 0
+    assert calls == []
+    report = json.loads(capsys.readouterr().out)
+    assert report["verified"] is True
+    assert report["options"]["quantize_eps"] == "-1/100"
+    assert "quantize_merges" not in report
+
+
+def _five_point_doc() -> dict:
+    return json.loads((FIXTURES / "five_point_path.json").read_text())
+
+
+def _with_huge_coordinate(doc: dict) -> dict:
+    doc["points"][0]["coords"][0] = "1e100000"
+    return doc
+
+
+def _with_huge_target(doc: dict) -> dict:
+    doc["target"] = {str(p["id"]): "0" for p in doc["points"]}
+    doc["target"][str(doc["points"][0]["id"])] = "-2.5e5000"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command,edit,flags",
+    [
+        ("detect", None, ["--quantize-eps", "1e100000"]),
+        ("detect", _with_huge_coordinate, []),
+        ("represent", _with_huge_target, []),
+    ],
+    ids=["flag", "coordinate", "target"],
+)
+def test_huge_rational_literals_fail_fast(tmp_path, capsys, command, edit, flags):
+    # a literal whose value could not be printed is refused at parse time,
+    # naming the limit, instead of failing in the report with exit 1
+    doc = _five_point_doc()
+    if edit is not None:
+        doc = edit(doc)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path), "--json", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit of 4300 digits" in captured.err
+
+
+def test_largest_printable_literal_round_trips():
+    # digits plus exponent magnitude at the limit still print and parse back
+    for text in ("1e4299", "-1e-4299", "7" * 4300, "." + "1" * 4299, "2/" + "3" * 4300):
+        value = parse_rational(text)
+        assert parse_rational(str(value)) == value
+
+
+def test_parser_is_built_once():
+    from linsuper.cli import build_parser
+
+    assert build_parser() is build_parser()

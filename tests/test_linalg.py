@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from linsuper import (
     RationalMatrix,
+    build_incidence,
     dot,
     integer_primitive,
     kernel_basis,
@@ -14,6 +16,7 @@ from linsuper import (
     rref,
     solve,
 )
+from oracles import dense_kernel, dense_rref, dense_solve, random_instance, random_table
 
 F = Fraction
 
@@ -74,7 +77,7 @@ def test_rank_nullity(m):
 @given(matrices(), st.integers(0, 4), rationals.filter(lambda x: x != 0))
 def test_row_scaling_does_not_change_rref_or_kernel(m, row_idx, scale):
     row_idx %= m.rows
-    rows = m.row_lists()
+    rows = [list(m.row(i)) for i in range(m.rows)]
     rows[row_idx] = [scale * x for x in rows[row_idx]]
     scaled = RationalMatrix.from_rows(rows, cols=m.cols)
     assert rref(scaled) == rref(m)
@@ -157,3 +160,88 @@ def test_dot_and_transpose():
 def test_restrict_columns():
     m = M([[1, 2, 3], [4, 5, 6]])
     assert m.restrict_columns([2, 0]) == M([[3, 1], [6, 4]])
+
+
+# ---------------------------------------------------------------------------
+# the sparse fraction-free engine against the dense Fraction reference
+
+sparse_rationals = st.one_of(st.just(F(0)), rationals)
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=7):
+    """Mostly-zero rational matrices, some with whole zero rows and columns."""
+    rows = draw(st.integers(1, max_dim))
+    cols = draw(st.integers(1, max_dim))
+    entries = draw(st.lists(sparse_rationals, min_size=rows * cols, max_size=rows * cols))
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    for i in range(rows):
+        for j in range(cols):
+            if i in zero_rows or j in zero_cols:
+                entries[i * cols + j] = F(0)
+    return RationalMatrix(rows, cols, tuple(entries))
+
+
+def assert_engine_matches_reference(m, b):
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    reference, ref_pivots = dense_rref(rows, m.cols)
+    reduced, pivots = rref(m)
+    assert pivots == ref_pivots
+    assert reduced == RationalMatrix.from_rows(reference, cols=m.cols)
+    assert rank(m) == len(ref_pivots)
+    assert kernel_basis(m) == dense_kernel(rows, m.cols)
+    result = solve(m, b)
+    assert (result.solution, result.conflict_row, result.rank) == dense_solve(rows, list(b), m.cols)
+
+
+@given(sparse_matrices(), st.data())
+def test_engine_matches_dense_reference_on_random_matrices(m, data):
+    b = data.draw(st.lists(sparse_rationals, min_size=m.rows, max_size=m.rows), label="b")
+    assert_engine_matches_reference(m, b)
+
+
+@given(matrices(max_dim=6), st.data())
+def test_engine_matches_dense_reference_on_dense_matrices(m, data):
+    b = data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows), label="b")
+    assert_engine_matches_reference(m, b)
+
+
+def test_engine_matches_dense_reference_on_hilbert_matrices():
+    # integers grow far past the input's: the inverse has entries above 10^9
+    hilbert = M([[F(1, i + j + 1) for j in range(8)] for i in range(8)])
+    unit = [F(int(i == 3)) for i in range(8)]
+    assert_engine_matches_reference(hilbert, unit)
+    assert max(abs(x.numerator) for x in solve(hilbert, unit).solution) > 10**9
+    wide = M([[F(1, i + j + 1) for j in range(9)] for i in range(8)])
+    assert_engine_matches_reference(wide, [F(i, 7) for i in range(8)])
+
+
+def test_engine_matches_dense_reference_on_incidence_matrices():
+    rng = random.Random(20240905)
+    for _ in range(150):
+        ps, ff = random_instance(rng, max_points=10, max_functions=3, values=(0, 1, 2, 3))
+        inc = build_incidence(ps, ff)
+        values = random_table(rng, ps.ids)
+        assert_engine_matches_reference(inc.matrix, [F(0)] * inc.matrix.rows)
+        transposed = inc.matrix.transpose()
+        assert_engine_matches_reference(transposed, [values[pid] for pid in ps.ids])
+
+
+def test_kernel_basis_and_solve_each_call_rref_once(monkeypatch):
+    # the benchmark's tracer reads the kernel and the solve off the rref span
+    import linsuper.linalg
+
+    calls = []
+    original = linsuper.linalg.rref
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(linsuper.linalg, "rref", counting)
+    m = M([[1, 1, 0], [0, 1, 1]])
+    kernel_basis(m)
+    assert len(calls) == 1
+    solve(m, [F(1), F(2)])
+    assert len(calls) == 2
