@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from linsuper.cli import instance_to_jsonable, main, render_report
-from linsuper.fixtures import broken_line
 from linsuper.model import coordinate_points
 from linsuper.ridge import (
     ParallelLinesParams,
@@ -27,6 +26,9 @@ from linsuper.ridge import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tests"))  # the canonical instances live with the tests
+from examples import broken_line  # noqa: E402
+
 FIXTURES = ROOT / "fixtures"
 EXPECTED = FIXTURES / "expected"
 

@@ -6,7 +6,9 @@ Run from the repository root:  python3 scripts/run_examples.py
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from linsuper import (
     ClosedPathCertificate,
@@ -24,7 +26,9 @@ from linsuper import (
     ridge_instance,
     verify_permissible_implication,
 )
-from linsuper.fixtures import broken_line, five_point_path, six_point_path, unit_grid
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))  # canonical instances
+from examples import broken_line, five_point_path, six_point_path, unit_grid  # noqa: E402
 
 F = Fraction
 

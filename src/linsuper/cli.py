@@ -3,8 +3,9 @@
 Machine-readable reports are deterministic JSON documents (sorted keys, all
 rationals as exact "p/q" strings); identical inputs and options produce
 byte-identical reports. Exit codes carry the verdict: 0/1 per command, 2 for
-usage or parse errors, 3 for an internal invariant violation (a certificate
-that failed its own re-verification, which should never happen).
+usage or parse errors (a value too large to print included), 3 for an
+internal invariant violation (a certificate that failed its own
+re-verification) or any other unexpected error; neither should ever happen.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -125,15 +127,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
         for i, table_raw in enumerate(tables_raw):
             if not isinstance(table_raw, dict):
                 raise InputValidationError(f"functions.tables[{i}] must be an object")
-            table = {}
-            for key, value in table_raw.items():
-                try:
-                    pid = int(key)
-                except ValueError:
-                    raise InputValidationError(
-                        f"functions.tables[{i}] key {key!r} is not a point id"
-                    ) from None
-                table[pid] = parse_rational(value)
+            table = _id_table(table_raw, f"functions.tables[{i}]")
             missing = [pid for pid in point_set.ids if pid not in table]
             if missing:
                 raise InputValidationError(f"function {i} misses values for point ids {missing}")
@@ -152,17 +146,24 @@ def parse_instance_text(text: str) -> InstanceDocument:
     if doc.get("target") is not None:
         if not isinstance(doc["target"], dict):
             raise InputValidationError('"target" must be an object mapping point ids to values')
-        target = {}
-        for key, value in doc["target"].items():
-            try:
-                pid = int(key)
-            except ValueError:
-                raise InputValidationError(f"target key {key!r} is not a point id") from None
-            if pid not in point_set.ids:
-                raise InputValidationError(f"target mentions unknown point id {pid}")
-            target[pid] = parse_rational(value)
+        target = _id_table(doc["target"], "target")
+        unknown = [pid for pid in target if pid not in point_set.ids]
+        if unknown:
+            raise InputValidationError(f"target mentions unknown point id {unknown[0]}")
 
     return InstanceDocument(point_set, family, directions, target, _parse_options(doc.get("options")))
+
+
+def _id_table(raw: dict, where: str) -> dict[int, Fraction]:
+    """A JSON object mapping point ids to rationals."""
+    table = {}
+    for key, value in raw.items():
+        try:
+            pid = int(key)
+        except ValueError:
+            raise InputValidationError(f"{where} key {key!r} is not a point id") from None
+        table[pid] = parse_rational(value)
+    return table
 
 
 def _parse_options(raw: Any) -> Options:
@@ -393,11 +394,7 @@ def _hypercube(doc: InstanceDocument, options: Options, args: argparse.Namespace
     if doc.directions is None:
         raise InputValidationError("hypercube needs ridge directions in the instance file")
     d = doc.directions[0].dimension
-    center = (
-        [parse_rational(c) for c in args.center.split(",")]
-        if args.center
-        else [Fraction(0)] * d
-    )
+    center = _vector(args.center) if args.center else [0] * d
     path = hypercube_path(doc.directions, center, parse_rational(args.scale))
     fields = {
         "center": [format_rational(c) for c in path.center],
@@ -423,13 +420,12 @@ _GENERATOR_DEFAULT_DIRECTIONS = {
 }
 
 
+def _vector(text: str) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(c) for c in text.split(","))
+
+
 def _parse_vectors(text: str) -> list[tuple[Fraction, ...]]:
-    vectors = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vectors.append(tuple(parse_rational(c) for c in chunk.split(",")))
+    vectors = [_vector(chunk) for chunk in map(str.strip, text.split(";")) if chunk]
     if not vectors:
         raise InputValidationError(f"no vectors in {text!r}")
     return vectors
@@ -452,9 +448,9 @@ def _generate(args: argparse.Namespace) -> Outcome:
     if kind == "parallel-lines":
         params = ParallelLinesParams(
             directions=directions,
-            line_direction=tuple(parse_rational(c) for c in args.line_direction.split(",")),
-            base_first=tuple(parse_rational(c) for c in args.base1.split(",")),
-            base_second=tuple(parse_rational(c) for c in args.base2.split(",")),
+            line_direction=_vector(args.line_direction),
+            base_first=_vector(args.base1),
+            base_second=_vector(args.base2),
             samples_per_line=args.samples,
             start=parse_rational(args.start),
             step=parse_rational(args.step),
@@ -625,6 +621,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a crash must not read as a verdict
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,10 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Every entry is a fractions.Fraction and every result is exact; there is no
-floating point anywhere in this module. Matrices are stored dense, but the
-one elimination, `rref`, runs on sparse integer rows (a 0/1 incidence matrix
-has r ones per column), fraction-free in the manner of Bareiss; kernel, rank
-and solve are read off its reduced form.
+Every result is exact; there is no floating point anywhere in this module.
+A matrix keeps each row once as sparse integers over a positive row
+denominator (a 0/1 incidence matrix has r ones per column), and the one
+elimination, `rref`, works on those integer rows fraction-free in the
+manner of Bareiss. Kernel, rank and solve are read off its reduced integer
+rows. A Fraction is formed only where a value is handed out: the entries of
+a matrix, kernel vectors and solutions.
 """
 
 from __future__ import annotations
@@ -15,93 +17,145 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+Row = tuple[int, dict[int, int]]  # (denominator > 0, {column: nonzero numerator})
 
-# Shared with the incidence matrix: `x is not _ZERO` skips the slow
-# Fraction.__bool__ on the zeros that fill it and every kernel vector.
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+# Shared small values: `x is not _ZERO` skips the slow Fraction.__bool__ on the
+# zeros that fill dense vectors, and Fraction(k) costs about 1 us to build.
+_INTS = {k: Fraction(k) for k in range(-8, 9)}
+_ZERO = _INTS[0]
+_ONE = _INTS[1]
 
 
-@dataclass(frozen=True)
+def _fraction(n: int, d: int = 1) -> Fraction:
+    if d != 1:
+        return Fraction(n, d)
+    return _INTS[n] if -8 <= n <= 8 else Fraction(n)
+
+
+def _dense(size: int, entries: Iterable[tuple[int, Fraction]]) -> Vector:
+    """The vector of the given size with these (index, value) entries, zero elsewhere."""
+    out = [_ZERO] * size
+    for j, x in entries:
+        out[j] = x
+    return tuple(out)
+
+
+def _row(values: Iterable[Fraction | int]) -> Row:
+    """Integer form of a row of rationals; lowest-terms inputs make it normal."""
+    nonzero = [(j, x) for j, x in enumerate(values) if x is not _ZERO and x]
+    den = lcm(*(x.denominator for _, x in nonzero))
+    return den, {j: x.numerator * (den // x.denominator) for j, x in nonzero}
+
+
+def _normal(den: int, nums: dict[int, int]) -> Row:
+    """The row divided by the common factor of its denominator and numerators."""
+    g = 1 if den == 1 else gcd(den, *nums.values())
+    return (den, nums) if g == 1 else (den // g, {j: n // g for j, n in nums.items()})
+
+
 class RationalMatrix:
-    """Immutable dense matrix of Fractions, stored row-major."""
+    """Immutable matrix of rationals, stored as one integer row per row.
 
-    rows: int
-    cols: int
-    entries: Vector
+    Row i is a pair (d, {j: n_j}) of a positive denominator and the nonzero
+    numerators, with gcd(d, n_j, ...) = 1, so the entry in column j is
+    n_j / d and every matrix has exactly one storage. `entries`, `row` and
+    `at` read Fractions off that storage; equality and hashing compare it.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ("rows", "cols", "_data")
+
+    def __init__(self, rows: int, cols: int, entries: Sequence[Fraction | int]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError(
-                f"expected {self.rows * self.cols} entries for a "
-                f"{self.rows}x{self.cols} matrix, got {len(self.entries)}"
+                f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
             )
+        self.rows, self.cols = rows, cols
+        self._data = tuple(_row(entries[i * cols : (i + 1) * cols]) for i in range(rows))
+
+    @classmethod
+    def _from_storage(cls, rows: int, cols: int, data: tuple[Row, ...]) -> "RationalMatrix":
+        """A matrix over normal integer rows, taken as they are."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._data = rows, cols, data
+        return m
 
     @classmethod
     def from_rows(
         cls, rows: Sequence[Sequence[Fraction | int]], *, cols: int | None = None
     ) -> "RationalMatrix":
-        if not rows:
-            if cols is None:
-                raise ValueError("cols is required for a matrix with no rows")
-            return cls(0, cols, ())
-        width = len(rows[0])
+        width = len(rows[0]) if rows else cols
+        if width is None:
+            raise ValueError("cols is required for a matrix with no rows")
         if cols is not None and cols != width:
             raise ValueError(f"cols={cols} disagrees with row width {width}")
-        flat: list[Fraction] = []
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("rows have inconsistent lengths")
-            flat.extend(Fraction(x) for x in row)
-        return cls(len(rows), width, tuple(flat))
+        if any(len(row) != width for row in rows):
+            raise ValueError("rows have inconsistent lengths")
+        return cls._from_storage(len(rows), width, tuple(map(_row, rows)))
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows(
-            [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], cols=n
-        )
+        return cls._zero_one(n, [(i,) for i in range(n)])
+
+    @classmethod
+    def _zero_one(cls, cols: int, supports: Sequence[Iterable[int]]) -> "RationalMatrix":
+        """The 0/1 matrix whose row i has its ones in the columns supports[i]."""
+        return cls._from_storage(len(supports), cols, tuple((1, dict.fromkeys(s, 1)) for s in supports))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, tuple((d, frozenset(n.items())) for d, n in self._data)))
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix({self.rows}, {self.cols}, {self.entries!r})"
+
+    @property
+    def entries(self) -> Vector:
+        """All entries, row-major."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        den, nums = self._data[i]
+        return _fraction(nums[j], den) if j in nums else _ZERO
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        den, nums = self._data[i]
+        return _dense(self.cols, ((j, _fraction(n, den)) for j, n in nums.items()))
 
     def transpose(self) -> "RationalMatrix":
-        flat = tuple(x for j in range(self.cols) for x in self.entries[j :: self.cols])
-        return RationalMatrix(self.cols, self.rows, flat)
+        cells: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
+        for i, (den, nums) in enumerate(self._data):
+            for j, n in nums.items():
+                cells[j].append((i, n, den))
+        dens = [lcm(*(d for _, _, d in column)) for column in cells]
+        data = tuple(_normal(den, {i: n * (den // d) for i, n, d in col}) for col, den in zip(cells, dens))
+        return RationalMatrix._from_storage(self.cols, self.rows, data)
 
     def mul_vector(self, v: Sequence[Fraction]) -> Vector:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = _ZERO
-            for j, x in enumerate(v):
-                if x:
-                    acc += self.entries[base + j] * x
-            out.append(acc)
-        return tuple(out)
+        return tuple(sum((n * v[j] for j, n in nums.items()), _ZERO) / den for den, nums in self._data)
 
     def restrict_columns(self, keep: Sequence[int]) -> "RationalMatrix":
         for j in keep:
             if not 0 <= j < self.cols:
                 raise ValueError(f"column index {j} out of range")
-        flat = tuple(row[j] for row in map(self.row, range(self.rows)) for j in keep)
-        return RationalMatrix(self.rows, len(keep), flat)
+        data = tuple(
+            _normal(den, {k: nums[j] for k, j in enumerate(keep) if j in nums})
+            for den, nums in self._data
+        )
+        return RationalMatrix._from_storage(self.rows, len(keep), data)
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError("dot product of vectors with different lengths")
-    acc = _ZERO
-    for a, b in zip(u, v):
-        if a is not _ZERO and a and b:
-            acc += a * b
-    return acc
+    return sum((a * b for a, b in zip(u, v) if a is not _ZERO and a and b), _ZERO)
 
 
 def _reduce(row: dict[int, int], prow: dict[int, int], pc: int) -> None:
@@ -125,35 +179,40 @@ def _reduce(row: dict[int, int], prow: dict[int, int], pc: int) -> None:
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the ordered pivot columns.
 
-    Gauss-Jordan on rows scaled to sparse integer {col: value} maps; Fractions
-    are formed only to read the result out. Since the reduced form is unique,
-    any row holding the pivot column can be its pivot: the sparsest keeps
-    fill-in low.
+    Gauss-Jordan on copies of the integer rows. Pending rows wait in buckets
+    by leading column, so the rows holding the next pivot column are at hand.
+    Since the reduced form is unique, any of them can be the pivot row: the
+    sparsest keeps fill-in low.
     """
-    cols = m.cols
-    pending: list[dict[int, int]] = []
-    for i in range(m.rows):
-        row = {j: x for j, x in enumerate(m.row(i)) if x is not _ZERO and x}
-        denom = lcm(*(x.denominator for x in row.values()))
-        pending.append({j: x.numerator * (denom // x.denominator) for j, x in row.items()})
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for _, nums in m._data:
+        if nums:
+            buckets.setdefault(min(nums), []).append(dict(nums))
     done: list[tuple[int, dict[int, int]]] = []
-    for pc in range(cols):
-        hits = [row for row in pending if pc in row]
-        if not hits:
+    for pc in range(m.cols):
+        if not buckets:
+            break
+        hits = buckets.pop(pc, None)
+        if hits is None:
             continue
         prow = min(hits, key=len)
-        for row in hits + [row for _, row in done if pc in row]:
+        for row in hits:
             if row is not prow:
                 _reduce(row, prow, pc)
-        pending = [row for row in pending if row and row is not prow]
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
+        for _, row in done:
+            if pc in row:
+                _reduce(row, prow, pc)
         done.append((pc, prow))
-    flat = [_ZERO] * (m.rows * cols)
-    for i, (pc, row) in enumerate(done):
-        base, p = i * cols, row[pc]
-        for j, v in row.items():
-            flat[base + j] = Fraction(v, p)
-        flat[base + pc] = _ONE
-    return RationalMatrix(m.rows, cols, tuple(flat)), tuple(pc for pc, _ in done)
+    data = []
+    for pc, row in done:  # row / row[pc] in normal form: its pivot entry is 1
+        g = gcd(*row.values())
+        if row[pc] < 0:
+            g = -g
+        data.append((row[pc] // g, {j: v // g for j, v in row.items()} if g != 1 else row))
+    data.extend([(1, {})] * (m.rows - len(done)))
+    return RationalMatrix._from_storage(m.rows, m.cols, tuple(data)), tuple(pc for pc, _ in done)
 
 
 def rank(m: RationalMatrix) -> int:
@@ -168,53 +227,50 @@ def integer_primitive(vec: Iterable[Fraction]) -> Vector:
     the vector's ray, used to make kernel output reproducible.
     """
     items = tuple(vec)
-    nonzero = [(j, x) for j, x in enumerate(items) if x is not _ZERO and x]
-    out = [_ZERO] * len(items)
-    if nonzero:
-        denom = lcm(*(x.denominator for _, x in nonzero))
-        ints = [x.numerator * (denom // x.denominator) for _, x in nonzero]
-        g = gcd(*ints) if ints[0] > 0 else -gcd(*ints)
-        for (j, _), z in zip(nonzero, ints):
-            out[j] = Fraction(z // g)
-    return tuple(out)
+    _, nums = _row(items)
+    g = gcd(*nums.values()) or 1
+    if nums and next(iter(nums.values())) < 0:  # the first nonzero entry
+        g = -g
+    return _dense(len(items), ((j, _fraction(n // g)) for j, n in nums.items()))
 
 
 def l1_normalized(vec: Iterable[Fraction]) -> Vector:
     """Scale so the absolute values sum to 1, first nonzero entry positive."""
-    items = list(vec)
-    total = sum(abs(x) for x in items)
-    if total == 0:
+    items = tuple(vec)
+    _, nums = _row(items)
+    total = sum(map(abs, nums.values()))
+    if not total:
         raise ValueError("cannot l1-normalize the zero vector")
-    scaled = [x / total for x in items]
-    for x in scaled:
-        if x:
-            if x < 0:
-                scaled = [-y for y in scaled]
-            break
-    return tuple(scaled)
+    if next(iter(nums.values())) < 0:
+        total = -total
+    return _dense(len(items), ((j, Fraction(n, total)) for j, n in nums.items()))
 
 
 def kernel_basis(m: RationalMatrix) -> list[Vector]:
     """Basis of the right kernel {v : m.v = 0}, one vector per free column.
 
-    Each basis vector is the canonical free-variable vector read off the
-    reduced echelon form (the chosen free variable set to 1, the others to
-    0), rescaled by integer_primitive. The list is ordered by free column.
+    Each basis vector is the canonical free-variable vector of the reduced
+    echelon form (the chosen free variable set to 1, the others to 0),
+    scaled to integer entries with content 1 and first nonzero entry
+    positive. The list is ordered by free column.
     """
     reduced, pivots = rref(m)
-    cols = m.cols
-    pivot_set = set(pivots)
+    # free column -> its reduced entries n/d as (pivot column, n, d), by pivot column
+    by_free: dict[int, list[tuple[int, int, int]]] = {}
+    for (den, nums), pc in zip(reduced._data, pivots):
+        for j, n in nums.items():
+            if j != pc:
+                by_free.setdefault(j, []).append((pc, n, den))
     basis: list[Vector] = []
-    for fc in range(cols):
-        if fc in pivot_set:
-            continue
-        v = [_ZERO] * cols
-        v[fc] = _ONE
-        for base, pc in zip(range(fc, len(pivots) * cols, cols), pivots):
-            coeff = reduced.entries[base]
-            if coeff is not _ZERO:
-                v[pc] = -coeff
-        basis.append(integer_primitive(v))
+    for fc in sorted(set(range(m.cols)) - set(pivots)):
+        terms = by_free.get(fc, ())
+        # v[pc] = -n/d, scaled by the lcm of the reduced denominators; the
+        # lowest pivot column holds the first nonzero entry
+        scale = lcm(*(d // gcd(n, d) for _, n, d in terms))
+        if terms and terms[0][1] > 0:
+            scale = -scale
+        entries = [(pc, _fraction(-n * scale // d)) for pc, n, d in terms]
+        basis.append(_dense(m.cols, [(fc, _fraction(scale)), *entries]))
     return basis
 
 
@@ -237,18 +293,17 @@ def solve(m: RationalMatrix, b: Sequence[Fraction]) -> SolveResult:
     """Solve m.x = b exactly, zeroing free variables; certify inconsistency."""
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != rows {m.rows}")
-    if m.rows == 0:
-        return SolveResult((_ZERO,) * m.cols, None, 0)
-    flat: list[Fraction] = []
-    for i, rhs in enumerate(b):
-        flat.extend(m.row(i))
-        flat.append(Fraction(rhs))
-    aug = RationalMatrix(m.rows, m.cols + 1, tuple(flat))
-    reduced, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
-        conflict = reduced.row(len(pivots) - 1)
-        return SolveResult(None, conflict, len(pivots) - 1)
-    x = [_ZERO] * m.cols
-    for row_idx, pc in enumerate(pivots):
-        x[pc] = reduced.at(row_idx, m.cols)
-    return SolveResult(tuple(x), None, len(pivots))
+    n = m.cols
+    data = []
+    for (den, nums), rhs in zip(m._data, b):
+        if rhs:  # over lcm(den, q) the row stays normal
+            common = lcm(den, rhs.denominator)
+            nums = {j: x * (common // den) for j, x in nums.items()}
+            nums[n] = rhs.numerator * (common // rhs.denominator)
+            den = common
+        data.append((den, nums))
+    reduced, pivots = rref(RationalMatrix._from_storage(m.rows, n + 1, tuple(data)))
+    if pivots and pivots[-1] == n:
+        return SolveResult(None, reduced.row(len(pivots) - 1), len(pivots) - 1)
+    x = ((pc, _fraction(nums[n], den)) for (den, nums), pc in zip(reduced._data, pivots) if n in nums)
+    return SolveResult(_dense(n, x), None, len(pivots))

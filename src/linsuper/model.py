@@ -19,9 +19,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InputValidationError, InternalInvariantError
-from .linalg import _ONE, _ZERO, RationalMatrix
+from .linalg import RationalMatrix
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,15 @@ def build_level_classes(ps: PointSet, ff: FunctionFamily) -> tuple[LevelClass, .
     """
     classes: list[LevelClass] = []
     for i in range(ff.r):
-        by_value: dict[Fraction, set[int]] = {}
-        for p in ps.points:
-            by_value.setdefault(ff.value_at(i, p.id), set()).add(p.id)
-        for value in sorted(by_value):
-            classes.append(LevelClass(i, value, frozenset(by_value[value])))
+        groups: dict[tuple[int, int], tuple[Fraction, set[int]]] = {}
+        for p in ps.points:  # keyed by (numerator, denominator): hashing a Fraction is slow
+            value = ff.value_at(i, p.id)
+            group = groups.get(key := (value.numerator, value.denominator))
+            if group is None:
+                group = groups[key] = (value, set())
+            group[1].add(p.id)
+        for value, members in sorted(groups.values(), key=itemgetter(0)):
+            classes.append(LevelClass(i, value, frozenset(members)))
     return tuple(classes)
 
 
@@ -188,14 +193,13 @@ class IncidenceMatrix:
 def build_incidence(ps: PointSet, ff: FunctionFamily) -> IncidenceMatrix:
     classes = build_level_classes(ps, ff)
     ids = ps.ids
-    flat: list[Fraction] = []
-    for cls in classes:
-        flat.extend(_ONE if pid in cls.members else _ZERO for pid in ids)
-    counts = Counter(pid for cls in classes for pid in cls.members)
+    index = {pid: j for j, pid in enumerate(ids)}
+    supports = [[index[pid] for pid in cls.members] for cls in classes]
+    counts = Counter(j for support in supports for j in support)
     for j, pid in enumerate(ids):
-        if counts[pid] != ff.r:  # pragma: no cover - construction guarantees this
-            raise InternalInvariantError(f"column {j} lies in {counts[pid]} classes, expected {ff.r}")
-    return IncidenceMatrix(RationalMatrix(len(classes), len(ids), tuple(flat)), classes, ids)
+        if counts[j] != ff.r:  # pragma: no cover - construction guarantees this
+            raise InternalInvariantError(f"column {j} lies in {counts[j]} classes, expected {ff.r}")
+    return IncidenceMatrix(RationalMatrix._zero_one(len(ids), supports), classes, ids, index)
 
 
 @dataclass(frozen=True)

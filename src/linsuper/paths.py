@@ -19,10 +19,8 @@ from fractions import Fraction
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import ContractViolationError, InputValidationError, InternalInvariantError
-from .linalg import Vector, integer_primitive, kernel_basis, l1_normalized
+from .linalg import _ONE, _ZERO, Vector, integer_primitive, kernel_basis, l1_normalized
 from .model import IncidenceMatrix
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +71,8 @@ def verify_certificate(inc: IncidenceMatrix, cert: ClosedPathCertificate) -> Non
         raise InternalInvariantError(f"certificate support {cert.support} is not in column order")
     if any(x == 0 for x in cert.lam):
         raise InternalInvariantError("certificate carries a zero coefficient")
-    table = cert.as_table()
+    # a nonzero multiple of the coefficients, as ints: their sums are much cheaper
+    table = {pid: x.numerator for pid, x in zip(cert.support, cert.integer_lambda())}
     for cls in inc.classes:
         if sum(table[pid] for pid in cls.members if pid in table):
             raise InternalInvariantError("certificate vector does not annihilate the level classes")
@@ -90,11 +89,15 @@ def evaluate_certificate(cert: ClosedPathCertificate, values: Mapping[int, Fract
     return acc
 
 
+def _nonzero(point_ids: Sequence[int], vec: Vector) -> tuple[tuple[int, ...], Vector]:
+    """The support of a full-length vector and its entries there."""
+    pairs = [(pid, x) for pid, x in zip(point_ids, vec) if x is not _ZERO and x]
+    return tuple(pid for pid, _ in pairs), tuple(x for _, x in pairs)
+
+
 def certificate_from_kernel_vector(inc: IncidenceMatrix, vec: Vector) -> ClosedPathCertificate:
     """Restrict a full-length kernel vector to its support."""
-    support = tuple(inc.point_ids[j] for j, x in enumerate(vec) if x)
-    lam = tuple(x for x in vec if x)
-    return ClosedPathCertificate(support, lam)
+    return ClosedPathCertificate(*_nonzero(inc.point_ids, vec))
 
 
 def detect(inc: IncidenceMatrix) -> ClosedPathCertificate | None:
@@ -116,8 +119,8 @@ def _circuit(point_ids: Sequence[int], vec: Vector) -> ClosedPathCertificate:
     Every canonical kernel vector is one: it is supported on its free column
     f and on independent pivot columns (the fundamental circuit of f).
     """
-    support = tuple(pid for pid, x in zip(point_ids, vec) if x)
-    return ClosedPathCertificate(support, l1_normalized([x for x in vec if x]), True, True)
+    support, lam = _nonzero(point_ids, vec)
+    return ClosedPathCertificate(support, l1_normalized(lam), True, True)
 
 
 def _closed_kernel(inc: IncidenceMatrix, support: Iterable[int]) -> tuple[tuple[int, ...], list[Vector]]:
@@ -153,7 +156,7 @@ def is_closed_path(inc: IncidenceMatrix, support: Iterable[int]) -> Vector | Non
     size, k = len(ordered), len(basis)
     for b in range(size + 1, size + 2 + size * (k - 1)):
         combo = [_ZERO] * size
-        weight = Fraction(1)
+        weight = _ONE
         for vec in basis:
             for j, x in enumerate(vec):
                 if x:

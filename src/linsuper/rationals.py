@@ -13,12 +13,17 @@ from fractions import Fraction
 from .errors import InputValidationError
 
 
+def _digit_limit() -> int:
+    """The most digits Python converts between an int and a string."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300  # Python's default
+
+
 def _check_literal_size(text: str) -> None:
     """Refuse, from the text alone, a literal whose value Python could not print:
     its numerator and denominator have at most as many digits as its longer
     "p/q" part has characters, plus its exponent's magnitude ("1e1000000000"
     asks for a billion digits)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300  # Python's default
+    limit = _digit_limit()
     mantissa, _, exponent = text.lower().partition("e")
     size = max(map(len, mantissa.lstrip("+-").split("/")))
     exp = exponent.lstrip("+-").replace("_", "").lstrip("0")
@@ -57,5 +62,15 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a rational as "p" or "p/q"; round-trips through parse_rational."""
-    return str(value)
+    """Render a rational as "p" or "p/q"; round-trips through parse_rational.
+
+    A value derived from printable literals can still be too long to print
+    (a . x of two 3000-digit numbers); it is refused with the limit named.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise InputValidationError(
+            f"a derived value exceeds the limit of {_digit_limit()} digits "
+            "that a rational can be printed with"
+        ) from None

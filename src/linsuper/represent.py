@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InputValidationError, InternalInvariantError
-from .linalg import dot, kernel_basis, solve
+from .linalg import _ONE, _ZERO, dot, kernel_basis, solve
 from .model import IncidenceMatrix, PointSet
 from .paths import (
     ClosedPathCertificate,
@@ -26,8 +26,6 @@ from .paths import (
     detect,
     evaluate_certificate,
 )
-
-_ZERO = Fraction(0)
 
 FunctionTable = Mapping[int, Fraction]
 
@@ -37,12 +35,10 @@ def _column_values(inc: IncidenceMatrix, f: FunctionTable) -> list[Fraction]:
     unknown = sorted(set(f) - set(inc.point_ids))
     if unknown:
         raise InputValidationError(f"function table mentions unknown point ids {unknown}")
-    values = []
-    for pid in inc.point_ids:
-        if pid not in f:
-            raise InputValidationError(f"function table misses a value for point id {pid}")
-        values.append(Fraction(f[pid]))
-    return values
+    missing = [pid for pid in inc.point_ids if pid not in f]
+    if missing:
+        raise InputValidationError(f"function table misses a value for point id {missing[0]}")
+    return [x if isinstance(x, Fraction) else Fraction(x) for x in map(f.__getitem__, inc.point_ids)]
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ def make_witness(cert: ClosedPathCertificate, points: PointSet | Sequence[int]) 
         raise InputValidationError(f"certificate support {missing} is not part of the point set")
     f0 = {pid: _ZERO for pid in point_ids}
     for pid, lam in zip(cert.support, cert.lam):
-        f0[pid] = Fraction(1) if lam > 0 else Fraction(-1)
+        f0[pid] = _ONE if lam > 0 else -_ONE
     value = evaluate_certificate(cert, f0)
     if value != sum(abs(x) for x in cert.lam):  # pragma: no cover - identity by construction
         raise InternalInvariantError("witness value is not the l1 norm of the certificate")

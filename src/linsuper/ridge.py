@@ -14,19 +14,17 @@ families of point configurations that provably carry no closed paths.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import floor
+from itertools import combinations, product
+from math import floor, lcm
 from typing import Literal, Sequence
 
 from .errors import ConstraintError, InputValidationError, InternalInvariantError
-from .linalg import RationalMatrix, Vector, dot, kernel_basis, solve
+from .linalg import _ONE, _ZERO, RationalMatrix, Vector, dot, kernel_basis, solve
 from .model import FunctionFamily, IncidenceMatrix, Point, PointSet, build_incidence
 from .paths import ClosedPathCertificate, _circuit, certificate_from_kernel_vector, detect, verify_certificate
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
@@ -62,26 +60,43 @@ class RidgeInstance:
     family: FunctionFamily
 
 
-def ridge_instance(directions: Sequence[Direction], points: PointSet) -> RidgeInstance:
-    """Tabulate h_i(x_j) = a_i . x_j exactly and wrap it as an instance."""
+def _dimension(directions: Sequence[Direction]) -> int:
+    """The dimension shared by at least one direction."""
     if not directions:
         raise InputValidationError("at least one direction is required")
     dims = {d.dimension for d in directions}
     if len(dims) != 1:
         raise InputValidationError(f"directions of mixed dimensions {sorted(dims)}")
-    dim = dims.pop()
+    return dims.pop()
+
+
+def ridge_instance(directions: Sequence[Direction], points: PointSet) -> RidgeInstance:
+    """Tabulate h_i(x_j) = a_i . x_j exactly and wrap it as an instance."""
+    dim = _dimension(directions)
     if len(points):
         if points.require_coordinates() != dim:
             raise InputValidationError(
                 f"points have dimension {points.dimension}, directions have {dim}"
             )
-    tables = tuple(
-        {p.id: dot(d.vector, p.coords) for p in points.points} for d in directions
-    )
+    # coordinate k of every point is X_k / D_k with one denominator D_k per
+    # axis, so a . x = sum(A_k X_k) / L with integers A_k = L a_k / D_k
+    axes = [[p.coords[k] for p in points.points] for k in range(dim)]
+    scales = [lcm(*(x.denominator for x in axis)) for axis in axes]
+    columns = [[x.numerator * (s // x.denominator) for x in axis] for axis, s in zip(axes, scales)]
+    tables = []
+    for d in directions:
+        weights = [Fraction(a, s) for a, s in zip(d.vector, scales)]
+        common = lcm(*(w.denominator for w in weights))
+        sums = [0] * len(points)
+        for w, column in zip(weights, columns):
+            if w:
+                a = w.numerator * (common // w.denominator)
+                sums = [t + a * x for t, x in zip(sums, column)]
+        tables.append({pid: Fraction(v, common) for pid, v in zip(points.ids, sums)})
     provenance = tuple(
         "ridge(" + ",".join(str(c) for c in d.vector) + ")" for d in directions
     )
-    return RidgeInstance(tuple(directions), points, FunctionFamily(tables, provenance))
+    return RidgeInstance(tuple(directions), points, FunctionFamily(tuple(tables), provenance))
 
 
 def instance_incidence(instance: RidgeInstance) -> IncidenceMatrix:
@@ -156,14 +171,10 @@ def _orthogonal_candidates(a: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]
     for z in range(d):
         if a[z] == 0:
             candidates.append(tuple(_ONE if k == z else _ZERO for k in range(d)))
-    nonzero = [k for k in range(d) if a[k] != 0]
-    for p_idx in range(len(nonzero)):
-        for q_idx in range(p_idx + 1, len(nonzero)):
-            p, q = nonzero[p_idx], nonzero[q_idx]
-            vec = [_ZERO] * d
-            vec[p] = a[q]
-            vec[q] = -a[p]
-            candidates.append(tuple(vec))
+    for p, q in combinations([k for k in range(d) if a[k] != 0], 2):
+        vec = [_ZERO] * d
+        vec[p], vec[q] = a[q], -a[p]
+        candidates.append(tuple(vec))
     return candidates
 
 
@@ -174,10 +185,6 @@ def _parallel(x: tuple[Fraction, ...], y: tuple[Fraction, ...]) -> bool:
         for p in range(len(x))
         for q in range(p + 1, len(x))
     )
-
-
-def _pairwise_independent(chosen: Sequence[tuple[Fraction, ...]], candidate: tuple[Fraction, ...]) -> bool:
-    return not any(_parallel(candidate, other) for other in chosen)
 
 
 def _offset_candidates(a: tuple[Fraction, ...], count: int) -> list[tuple[Fraction, ...]]:
@@ -217,12 +224,7 @@ def hypercube_path(
     before it is returned.
     """
     directions = tuple(directions)
-    if not directions:
-        raise InputValidationError("at least one direction is required")
-    dims = {d.dimension for d in directions}
-    if len(dims) != 1:
-        raise InputValidationError(f"directions of mixed dimensions {sorted(dims)}")
-    d = dims.pop()
+    d = _dimension(directions)
     if d < 2:
         raise ConstraintError(
             "dimension 1 admits no nonzero vector orthogonal to a direction; need d >= 2"
@@ -238,7 +240,7 @@ def hypercube_path(
     base: list[tuple[Fraction, ...]] = []
     for idx, dirn in enumerate(directions):
         candidates = _offset_candidates(dirn.vector, r + 2)
-        picked = next((c for c in candidates if _pairwise_independent(base, c)), None)
+        picked = next((c for c in candidates if not any(_parallel(c, b) for b in base)), None)
         if picked is None:
             raise ConstraintError(
                 f"no offset orthogonal to direction {idx} is independent of the earlier "
@@ -249,17 +251,23 @@ def hypercube_path(
         offsets = [
             tuple(scale * _PRIMES[shift + i] * c for c in base[i]) for i in range(r)
         ]
+        # coordinate k of every point is an integer over one denominator per axis
+        dens = [lcm(*(x.denominator for x in axis)) for axis in zip(center_vec, *offsets)]
+        start, *steps = [
+            [x.numerator * (m // x.denominator) for x, m in zip(vec, dens)] for vec in (center_vec, *offsets)
+        ]
         epsilons = tuple(product((0, 1), repeat=r))
-        coords = []
+        numerators = []
         for eps in epsilons:
-            point = list(center_vec)
-            for i, bit in enumerate(eps):
+            point = start
+            for bit, step in zip(eps, steps):
                 if bit:
-                    point = [pc + oc for pc, oc in zip(point, offsets[i])]
-            coords.append(tuple(point))
-        if len(set(coords)) == len(coords):
+                    point = [a + b for a, b in zip(point, step)]
+            numerators.append(tuple(point))
+        if len(set(numerators)) == len(numerators):
+            coords = (tuple(map(Fraction, point, dens)) for point in numerators)
             points = PointSet(tuple(Point(k + 1, c) for k, c in enumerate(coords)))
-            lam = tuple(Fraction((-1) ** sum(eps)) for eps in epsilons)
+            lam = tuple((_ONE, -_ONE)[sum(eps) % 2] for eps in epsilons)
             instance = ridge_instance(directions, points)
             path = HypercubePath(center_vec, tuple(offsets), epsilons, instance, lam)
             # nonzero signs that annihilate every level class: a closed path
@@ -294,8 +302,8 @@ class ParallelLinesParams:
     base_first: tuple[Fraction, ...]
     base_second: tuple[Fraction, ...]
     samples_per_line: int = 6
-    start: Fraction = Fraction(0)
-    step: Fraction = Fraction(1)
+    start: Fraction = _ZERO
+    step: Fraction = _ONE
 
 
 @dataclass(frozen=True)
@@ -304,7 +312,7 @@ class ZigzagParams:
     diagonal directions (1,1) and (1,-1)."""
 
     count: int = 8
-    start: Fraction = Fraction(0)
+    start: Fraction = _ZERO
     step: Fraction = Fraction(1, 2)
 
 
@@ -325,8 +333,8 @@ class TransversalCurveParams:
     directions: tuple[Direction, ...]
     coefficients: tuple[tuple[Fraction, ...], ...]
     count: int = 8
-    start: Fraction = Fraction(0)
-    step: Fraction = Fraction(1)
+    start: Fraction = _ZERO
+    step: Fraction = _ONE
 
 
 def generate_pathfree_example(
@@ -367,7 +375,7 @@ def _build_parallel_lines(params: ParallelLinesParams) -> tuple[RidgeInstance, s
                 "direction contain whole line segments"
             )
     gap = tuple(b - a for a, b in zip(params.base_first, params.base_second))
-    if not _pairwise_independent([tuple(w)], tuple(gap)) or all(x == 0 for x in gap):
+    if all(x == 0 for x in gap) or _parallel(w, gap):
         raise ConstraintError("the two base points lie on one line; the lines coincide")
     coords = []
     for base in (params.base_first, params.base_second):
@@ -473,19 +481,9 @@ def _build_transversal_curve(params: TransversalCurveParams) -> tuple[RidgeInsta
 
 def _validate_transversal_condition(instance: RidgeInstance) -> None:
     """For every observed level value c, some direction meets it at most once."""
-    ids = instance.points.ids
-    r = len(instance.directions)
-    counts: list[dict[Fraction, int]] = []
-    observed: set[Fraction] = set()
-    for i in range(r):
-        table: dict[Fraction, int] = {}
-        for pid in ids:
-            v = instance.family.value_at(i, pid)
-            table[v] = table.get(v, 0) + 1
-        counts.append(table)
-        observed.update(table)
-    for c in sorted(observed):
-        if all(counts[i].get(c, 0) > 1 for i in range(r)):
+    counts = [Counter(table.values()) for table in instance.family.tables]
+    for c in sorted(set().union(*counts)):
+        if all(count[c] > 1 for count in counts):
             raise ConstraintError(
                 f"every direction meets level {c} in two or more sample points; "
                 "the curve is not transversal on this sample"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import FunctionFamily, PointSet, coordinate_functions, coordinate_points
+from linsuper.model import FunctionFamily, PointSet, coordinate_functions, coordinate_points
 
 
 def _pts(raw: list[tuple[int, ...]]) -> PointSet:

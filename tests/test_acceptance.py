@@ -37,8 +37,8 @@ from linsuper import (
     verify_certificate,
 )
 from linsuper.cli import main
-from linsuper.fixtures import broken_line, five_point_path, six_point_path, unit_grid
 
+from examples import broken_line, five_point_path, six_point_path, unit_grid
 from oracles import oracle_minimal_paths, random_instance, random_table
 
 F = Fraction

@@ -483,3 +483,33 @@ def test_parser_is_built_once():
     from linsuper.cli import build_parser
 
     assert build_parser() is build_parser()
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "human"])
+def test_unprintable_derived_value_is_usage_error(tmp_path, capsys, flags):
+    # every literal prints, but the level value a . x of point 1 has 6001 digits
+    doc = {
+        "format": 1,
+        "points": [{"id": 1, "coords": ["1e3000", "0"]}, {"id": 2, "coords": ["0", "1"]}],
+        "functions": {"kind": "ridge", "directions": [["1e3000", "1"]]},
+        "target": {"1": "0", "2": "1"},
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["represent", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "limit of 4300 digits" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_unexpected_error_exits_3(monkeypatch, capsys):
+    import linsuper.cli
+
+    def crash(inc):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(linsuper.cli, "detect", crash)
+    assert main(["detect", str(FIXTURES / "five_point_path.json")]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: ZeroDivisionError: boom" in err

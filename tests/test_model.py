@@ -16,8 +16,8 @@ from linsuper import (
     kernel_basis,
     quantize_family,
 )
-from linsuper.fixtures import five_point_path
 
+from examples import five_point_path
 from oracles import random_instance
 
 F = Fraction
@@ -157,3 +157,28 @@ def test_quantize_rejects_negative_eps():
     ff = FunctionFamily(({1: F(0)},))
     with pytest.raises(InputValidationError):
         quantize_family(ff, F(-1))
+
+
+def fraction_keyed_classes(ps, ff):
+    """Level classes grouped by the Fraction values themselves."""
+    classes = []
+    for i in range(ff.r):
+        by_value = {}
+        for p in ps.points:
+            by_value.setdefault(ff.value_at(i, p.id), set()).add(p.id)
+        classes.extend((i, value, frozenset(by_value[value])) for value in sorted(by_value))
+    return classes
+
+
+# equal values in several forms: 1, Fraction(1) and Fraction(2, 2) are one value
+mixed_values = st.sampled_from([1, F(1), F(2, 2), 0, F(0), -1, F(-3, 3), F(1, 2), F(2, 4), F(-7, 3), 2])
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(
+    st.lists(mixed_values, min_size=n, max_size=n), min_size=1, max_size=3
+)))
+def test_level_classes_group_equal_values_of_any_form(tables):
+    ps = abstract_points(list(range(1, len(tables[0]) + 1)))
+    ff = FunctionFamily(tuple(dict(zip(ps.ids, values)) for values in tables))
+    classes = build_level_classes(ps, ff)
+    assert [(c.function_index, c.value, c.members) for c in classes] == fraction_keyed_classes(ps, ff)

@@ -23,8 +23,8 @@ from linsuper import (
     kernel_basis,
     verify_certificate,
 )
-from linsuper.fixtures import five_point_path, simplex_corners, six_point_path, unit_grid
 
+from examples import five_point_path, simplex_corners, six_point_path, unit_grid
 from oracles import (
     oracle_is_closed,
     oracle_minimal_paths,

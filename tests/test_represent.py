@@ -16,8 +16,8 @@ from linsuper import (
     rref,
     verify_permissible_implication,
 )
-from linsuper.fixtures import broken_line, five_point_path, simplex_corners
 
+from examples import broken_line, five_point_path, simplex_corners
 from oracles import random_instance, random_superposition, random_table
 
 F = Fraction

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from linsuper import (
     ConstraintError,
@@ -13,6 +15,7 @@ from linsuper import (
     coordinate_points,
     detect,
     direction,
+    dot,
     generate_pathfree_example,
     hypercube_path,
     instance_incidence,
@@ -362,3 +365,21 @@ def test_generate_rejects_unknown_kind():
 
     with pytest.raises(InputValidationError):
         generate_pathfree_example("spiral", ZigzagParams())
+
+
+ridge_components = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(ridge_components, min_size=d, max_size=d).filter(any), min_size=1, max_size=3),
+    st.lists(st.lists(ridge_components, min_size=d, max_size=d), max_size=6),
+)))
+def test_ridge_values_equal_dot_products(drawn):
+    vectors, coords = drawn
+    points = coordinate_points([tuple(c) for c in coords])
+    instance = ridge_instance([direction(v) for v in vectors], points)
+    for vector, table in zip(vectors, instance.family.tables):
+        assert set(table) == set(points.ids)
+        for p in points.points:
+            assert table[p.id] == dot(vector, p.coords)
+            assert type(table[p.id]) is Fraction
