@@ -5,13 +5,19 @@ Writes fixtures/*.json (instance documents) and fixtures/expected/*.json
 (the expected --output report of one CLI command per fixture). The test
 suite compares CLI output bytes against these files, so regenerating them
 is only appropriate together with a deliberate format change.
+
+With --check nothing is written: the corpus is built in a temporary
+directory and compared byte for byte with fixtures/; the files that differ,
+are missing or were not generated are listed and the exit code is 1.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -37,11 +43,6 @@ F = Fraction
 
 def basis_directions(d):
     return tuple(direction([1 if i == k else 0 for i in range(d)]) for k in range(d))
-
-
-def write(path: Path, doc: dict) -> None:
-    path.write_text(render_report(doc))
-    print(f"wrote {path.relative_to(ROOT)}")
 
 
 def build_instances() -> dict[str, dict]:
@@ -149,23 +150,56 @@ GOLDEN_RUNS = {
 }
 
 
-def run() -> int:
-    FIXTURES.mkdir(exist_ok=True)
-    EXPECTED.mkdir(exist_ok=True)
-    docs = build_instances()
-    for name, doc in docs.items():
-        write(FIXTURES / f"{name}.json", doc)
+def generate(fixtures: Path) -> list[str] | None:
+    """Write the corpus under `fixtures`; the paths written, relative to it,
+    or None when a golden command exits with an unexpected code."""
+    (fixtures / "expected").mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, doc in build_instances().items():
+        (fixtures / f"{name}.json").write_text(render_report(doc))
+        written.append(f"{name}.json")
     for name, (suffix, before, after, expected_exit) in GOLDEN_RUNS.items():
-        instance = FIXTURES / f"{name}.json"
-        out = EXPECTED / f"{name}__{suffix}.json"
-        argv = before + [str(instance)] + after + ["--output", str(out)]
+        out = f"expected/{name}__{suffix}.json"
+        argv = before + [str(fixtures / f"{name}.json")] + after + ["--output", str(fixtures / out)]
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv)
         if code != expected_exit:
             print(f"FAIL: {name} exited {code}, expected {expected_exit}")
+            return None
+        written.append(out)
+    return written
+
+
+def check() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        built = Path(tmp)
+        written = generate(built)
+        if written is None:
             return 1
-        print(f"wrote {out.relative_to(ROOT)} (exit {code})")
-    return 0
+        committed = {str(p.relative_to(FIXTURES)) for p in FIXTURES.glob("*.json")}
+        committed |= {str(p.relative_to(FIXTURES)) for p in EXPECTED.glob("*.json")}
+        problems = [f"not generated: fixtures/{rel}" for rel in sorted(committed - set(written))]
+        for rel in written:
+            if rel not in committed:
+                problems.append(f"missing: fixtures/{rel}")
+            elif (FIXTURES / rel).read_bytes() != (built / rel).read_bytes():
+                problems.append(f"differs: fixtures/{rel}")
+    for line in problems:
+        print(line)
+    if not problems:
+        print(f"{len(written)} fixture files match")
+    return 1 if problems else 0
+
+
+def run(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or check fixtures/.")
+    parser.add_argument("--check", action="store_true", help="compare with fixtures/ and write nothing")
+    if parser.parse_args(argv).check:
+        return check()
+    written = generate(FIXTURES)
+    for rel in written or ():
+        print(f"wrote fixtures/{rel}")
+    return 0 if written is not None else 1
 
 
 if __name__ == "__main__":

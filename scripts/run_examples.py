@@ -24,11 +24,11 @@ from linsuper import (
     is_representable,
     make_witness,
     ridge_instance,
-    verify_permissible_implication,
 )
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))  # canonical instances
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))  # instances and checks
 from examples import broken_line, five_point_path, six_point_path, unit_grid  # noqa: E402
+from permissibility import verify_permissible_implication  # noqa: E402
 
 F = Fraction
 

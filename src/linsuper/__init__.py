@@ -55,13 +55,11 @@ from .paths import (
 from .rationals import format_rational, parse_rational
 from .represent import (
     Decomposition,
-    PermissibilityReport,
     RepresentationResult,
     Witness,
     is_representable,
     make_witness,
     representable_by_orthogonality,
-    verify_permissible_implication,
 )
 from .ridge import (
     Direction,

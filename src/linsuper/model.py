@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
+from math import lcm
 
 from .errors import InputValidationError, InternalInvariantError
 from .linalg import RationalMatrix
@@ -139,15 +139,23 @@ def build_level_classes(ps: PointSet, ff: FunctionFamily) -> tuple[LevelClass, .
     of classes with index i equals the number of distinct values of h_i on X.
     """
     classes: list[LevelClass] = []
-    for i in range(ff.r):
-        groups: dict[tuple[int, int], tuple[Fraction, set[int]]] = {}
-        for p in ps.points:  # keyed by (numerator, denominator): hashing a Fraction is slow
-            value = ff.value_at(i, p.id)
-            group = groups.get(key := (value.numerator, value.denominator))
+    ids = ps.ids
+    for i, table in enumerate(ff.tables):
+        try:
+            values = [table[pid] for pid in ids]
+        except KeyError as exc:
+            raise InputValidationError(f"function {i} has no value for point id {exc.args[0]}") from None
+        # value v is key / den: ints hash and compare much faster than Fractions
+        ratios = [v.as_integer_ratio() for v in values]
+        den = lcm(*(d for _, d in ratios))
+        groups: dict[int, tuple[Fraction, list[int]]] = {}
+        for pid, v, (n, d) in zip(ids, values, ratios):
+            group = groups.get(key := n * (den // d))
             if group is None:
-                group = groups[key] = (value, set())
-            group[1].add(p.id)
-        for value, members in sorted(groups.values(), key=itemgetter(0)):
+                group = groups[key] = (v, [])
+            group[1].append(pid)
+        for key in sorted(groups):
+            value, members = groups[key]
             classes.append(LevelClass(i, value, frozenset(members)))
     return tuple(classes)
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import ContractViolationError, InputValidationError, InternalInvariantError
-from .linalg import _ONE, _ZERO, Vector, integer_primitive, kernel_basis, l1_normalized
+from .linalg import _ONE, _ZERO, Vector, _fraction, integer_primitive, kernel_basis
 from .model import IncidenceMatrix
 
 
@@ -30,7 +31,9 @@ class ClosedPathCertificate:
     `support` lists point ids in column order and `lam` is aligned with it;
     every entry of `lam` is nonzero. When `normalized` is set the absolute
     values of `lam` sum to 1 and the first entry is positive. `minimal` is
-    None when minimality has not been decided.
+    None when minimality has not been decided. The checks, the two scaled
+    forms and `verify_certificate` read `_nums`, the numerators of `lam`
+    over the lcm of its denominators.
     """
 
     support: tuple[int, ...]
@@ -43,18 +46,28 @@ class ClosedPathCertificate:
             raise InputValidationError("a certificate needs a nonempty support")
         if len(self.support) != len(self.lam):
             raise InputValidationError("support and coefficient vector lengths differ")
-        if any(x == 0 for x in self.lam):
+        # every check runs on one integer form: lam = nums / den
+        den = lcm(*(x.denominator for x in self.lam))
+        nums = tuple(x.numerator * (den // x.denominator) for x in self.lam)
+        if not all(nums):
             raise InputValidationError("certificate coefficients must all be nonzero")
-        if self.normalized and sum(abs(x) for x in self.lam) != 1:
+        if self.normalized and sum(map(abs, nums)) != den:
             raise InputValidationError("normalized certificate must have unit l1 norm")
+        object.__setattr__(self, "_nums", nums)
 
     def integer_lambda(self) -> Vector:
         """Integer content-1 form of the coefficients, first entry positive."""
-        return integer_primitive(self.lam)
+        g = gcd(*self._nums)
+        if self._nums[0] < 0:
+            g = -g
+        return tuple(_fraction(n // g) for n in self._nums)
 
     def normalized_lambda(self) -> Vector:
         """Unit-l1 form of the coefficients, first entry positive."""
-        return l1_normalized(self.lam)
+        total = sum(map(abs, self._nums))
+        if self._nums[0] < 0:
+            total = -total
+        return tuple(Fraction(n, total) for n in self._nums)
 
     def as_table(self) -> dict[int, Fraction]:
         return dict(zip(self.support, self.lam))
@@ -69,10 +82,10 @@ def verify_certificate(inc: IncidenceMatrix, cert: ClosedPathCertificate) -> Non
     ordered = inc.sorted_support(cert.support)
     if ordered != cert.support:
         raise InternalInvariantError(f"certificate support {cert.support} is not in column order")
-    if any(x == 0 for x in cert.lam):
+    if not all(cert._nums):
         raise InternalInvariantError("certificate carries a zero coefficient")
-    # a nonzero multiple of the coefficients, as ints: their sums are much cheaper
-    table = {pid: x.numerator for pid, x in zip(cert.support, cert.integer_lambda())}
+    # a positive multiple of the coefficients, as ints: their sums are much cheaper
+    table = dict(zip(cert.support, cert._nums))
     for cls in inc.classes:
         if sum(table[pid] for pid in cls.members if pid in table):
             raise InternalInvariantError("certificate vector does not annihilate the level classes")
@@ -89,15 +102,10 @@ def evaluate_certificate(cert: ClosedPathCertificate, values: Mapping[int, Fract
     return acc
 
 
-def _nonzero(point_ids: Sequence[int], vec: Vector) -> tuple[tuple[int, ...], Vector]:
-    """The support of a full-length vector and its entries there."""
-    pairs = [(pid, x) for pid, x in zip(point_ids, vec) if x is not _ZERO and x]
-    return tuple(pid for pid, _ in pairs), tuple(x for _, x in pairs)
-
-
 def certificate_from_kernel_vector(inc: IncidenceMatrix, vec: Vector) -> ClosedPathCertificate:
     """Restrict a full-length kernel vector to its support."""
-    return ClosedPathCertificate(*_nonzero(inc.point_ids, vec))
+    pairs = [(pid, x) for pid, x in zip(inc.point_ids, vec) if x is not _ZERO and x]
+    return ClosedPathCertificate(tuple(pid for pid, _ in pairs), tuple(x for _, x in pairs))
 
 
 def detect(inc: IncidenceMatrix) -> ClosedPathCertificate | None:
@@ -117,10 +125,15 @@ def _circuit(point_ids: Sequence[int], vec: Vector) -> ClosedPathCertificate:
     """The normalized minimal certificate on the support of a circuit vector.
 
     Every canonical kernel vector is one: it is supported on its free column
-    f and on independent pivot columns (the fundamental circuit of f).
+    f and on independent pivot columns (the fundamental circuit of f). Its
+    entries are integers, the first nonzero one positive, and its zeros the
+    shared _ZERO, as `kernel_basis` builds them.
     """
-    support, lam = _nonzero(point_ids, vec)
-    return ClosedPathCertificate(support, l1_normalized(lam), True, True)
+    pairs = [(pid, x.numerator) for pid, x in zip(point_ids, vec) if x is not _ZERO]
+    total = sum(abs(n) for _, n in pairs)
+    return ClosedPathCertificate(
+        tuple(pid for pid, _ in pairs), tuple(Fraction(n, total) for _, n in pairs), True, True
+    )
 
 
 def _closed_kernel(inc: IncidenceMatrix, support: Iterable[int]) -> tuple[tuple[int, ...], list[Vector]]:

@@ -15,17 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import InputValidationError, InternalInvariantError
-from .linalg import _ONE, _ZERO, dot, kernel_basis, solve
+from .linalg import _ONE, _ZERO, _row, dot, kernel_basis, solve
 from .model import IncidenceMatrix, PointSet
-from .paths import (
-    ClosedPathCertificate,
-    certificate_from_kernel_vector,
-    detect,
-    evaluate_certificate,
-)
+from .paths import ClosedPathCertificate, certificate_from_kernel_vector, evaluate_certificate
 
 FunctionTable = Mapping[int, Fraction]
 
@@ -71,28 +67,34 @@ def is_representable(inc: IncidenceMatrix, f: FunctionTable) -> RepresentationRe
     certificate whose functional evaluates to a nonzero value on f.
     """
     values = _column_values(inc, f)
-    transposed = inc.matrix.transpose()
-    outcome = solve(transposed, values)
+    outcome = solve(inc.matrix.transpose(), values)
+    ratios = [x.as_integer_ratio() for x in values]
+    fden = lcm(*(d for _, d in ratios))
+    fnums = [n * (fden // d) for n, d in ratios]  # f = fnums / fden in integers
     if outcome.solution is not None:
         g = outcome.solution
         tables: tuple[dict[Fraction, Fraction], ...] = tuple(
             {} for _ in range(max(cls.function_index for cls in inc.classes) + 1)
         ) if inc.classes else ()
-        reconstruction = dict.fromkeys(inc.point_ids, _ZERO)
-        for cls, value in zip(inc.classes, g):
+        gden, gnums = _row(g)
+        sums = dict.fromkeys(inc.point_ids, 0)  # the reconstruction times gden
+        for k, (cls, value) in enumerate(zip(inc.classes, g)):
             tables[cls.function_index][cls.value] = value
-            for pid in cls.members:
-                reconstruction[pid] += value
-        for pid, expected in zip(inc.point_ids, values):
-            if reconstruction[pid] != expected:  # pragma: no cover - solve is exact
+            n = gnums.get(k)
+            if n:
+                for pid in cls.members:
+                    sums[pid] += n
+        for j, (pid, total) in enumerate(sums.items()):
+            if total * fden != fnums[j] * gden:  # pragma: no cover - solve is exact
                 raise InternalInvariantError(f"reconstruction differs from f at point {pid}")
+        reconstruction = dict(zip(inc.point_ids, values))  # equal to f, as just checked
         freedom = len(inc.classes) - outcome.rank
         return RepresentationResult(True, decomposition=Decomposition(tables, freedom, reconstruction))
-    for vec in kernel_basis(inc.matrix):
-        value = dot(vec, values)
-        if value:
+    for vec in kernel_basis(inc.matrix):  # integer vectors, so vec . f = total / fden
+        total = sum(x.numerator * n for x, n in zip(vec, fnums) if x is not _ZERO)
+        if total:
             cert = certificate_from_kernel_vector(inc, vec)
-            return RepresentationResult(False, violation=cert, violation_value=value)
+            return RepresentationResult(False, violation=cert, violation_value=Fraction(total, fden))
     raise InternalInvariantError(  # pragma: no cover - duality guarantees a violator
         "transpose solve failed but f is orthogonal to the kernel"
     )
@@ -136,38 +138,3 @@ def make_witness(cert: ClosedPathCertificate, points: PointSet | Sequence[int]) 
     if value != sum(abs(x) for x in cert.lam):  # pragma: no cover - identity by construction
         raise InternalInvariantError("witness value is not the l1 norm of the certificate")
     return Witness(cert, f0, value)
-
-
-@dataclass(frozen=True)
-class PermissibilityReport:
-    """Outcome of the finite-fixture check that a span equal to a permissive
-    function class forces the span to be everything.
-
-    branch is "closed path exists" (the witness, which is bounded and
-    continuous on a finite discrete set, is rejected) or "no closed paths"
-    (every probe is representable). The check covers the given finite
-    instance only.
-    """
-
-    branch: str
-    witness_rejected: bool | None
-    probes_total: int
-    probes_representable: int
-
-    @property
-    def holds(self) -> bool:
-        if self.branch == "closed path exists":
-            return bool(self.witness_rejected)
-        return self.probes_representable == self.probes_total
-
-
-def verify_permissible_implication(
-    inc: IncidenceMatrix, probes: Sequence[FunctionTable]
-) -> PermissibilityReport:
-    cert = detect(inc)
-    if cert is not None:
-        witness = make_witness(cert, inc.point_ids)
-        rejected = not is_representable(inc, witness.f0).representable
-        return PermissibilityReport("closed path exists", rejected, 0, 0)
-    ok = sum(1 for probe in probes if is_representable(inc, probe).representable)
-    return PermissibilityReport("no closed paths", None, len(probes), ok)

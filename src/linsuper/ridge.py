@@ -83,6 +83,7 @@ def ridge_instance(directions: Sequence[Direction], points: PointSet) -> RidgeIn
     axes = [[p.coords[k] for p in points.points] for k in range(dim)]
     scales = [lcm(*(x.denominator for x in axis)) for axis in axes]
     columns = [[x.numerator * (s // x.denominator) for x in axis] for axis, s in zip(axes, scales)]
+    ids = points.ids
     tables = []
     for d in directions:
         weights = [Fraction(a, s) for a, s in zip(d.vector, scales)]
@@ -92,7 +93,8 @@ def ridge_instance(directions: Sequence[Direction], points: PointSet) -> RidgeIn
             if w:
                 a = w.numerator * (common // w.denominator)
                 sums = [t + a * x for t, x in zip(sums, column)]
-        tables.append({pid: Fraction(v, common) for pid, v in zip(points.ids, sums)})
+        levels = {v: Fraction(v, common) for v in set(sums)}  # one Fraction per level
+        tables.append({pid: levels[v] for pid, v in zip(ids, sums)})
     provenance = tuple(
         "ridge(" + ",".join(str(c) for c in d.vector) + ")" for d in directions
     )
@@ -160,25 +162,23 @@ class HypercubePath:
         return ClosedPathCertificate(self.instance.points.ids, self.lam, False, None)
 
 
-def _orthogonal_candidates(a: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
-    """Deterministic nonzero vectors orthogonal to a, most canonical first.
+def _orthogonal_candidates(a: Sequence[int], den: int) -> list[tuple[int, ...]]:
+    """Deterministic nonzero vectors c with c / den orthogonal to a, most
+    canonical first.
 
-    Coordinate vectors for every zero coordinate of a, then swap-negate
-    vectors for every pair of nonzero coordinates.
+    Coordinate vectors (den e_z) for every zero coordinate of a, then
+    swap-negate vectors for every pair of nonzero coordinates.
     """
     d = len(a)
-    candidates: list[tuple[Fraction, ...]] = []
-    for z in range(d):
-        if a[z] == 0:
-            candidates.append(tuple(_ONE if k == z else _ZERO for k in range(d)))
-    for p, q in combinations([k for k in range(d) if a[k] != 0], 2):
-        vec = [_ZERO] * d
+    candidates = [tuple(den if k == z else 0 for k in range(d)) for z in range(d) if not a[z]]
+    for p, q in combinations([k for k in range(d) if a[k]], 2):
+        vec = [0] * d
         vec[p], vec[q] = a[q], -a[p]
         candidates.append(tuple(vec))
     return candidates
 
 
-def _parallel(x: tuple[Fraction, ...], y: tuple[Fraction, ...]) -> bool:
+def _parallel(x: Sequence[Fraction | int], y: Sequence[Fraction | int]) -> bool:
     """Nonzero vectors are parallel iff every 2x2 minor vanishes."""
     return all(
         x[p] * y[q] == x[q] * y[p]
@@ -187,27 +187,30 @@ def _parallel(x: tuple[Fraction, ...], y: tuple[Fraction, ...]) -> bool:
     )
 
 
-def _offset_candidates(a: tuple[Fraction, ...], count: int) -> list[tuple[Fraction, ...]]:
-    """Up to `count` pairwise-nonparallel vectors orthogonal to a.
+def _offset_candidates(a: tuple[Fraction, ...], count: int) -> tuple[int, list[tuple[int, ...]]]:
+    """A denominator D and up to `count` integer vectors c whose c / D are
+    pairwise nonparallel and orthogonal to a.
 
-    When the orthogonal complement of a has dimension >= 2 the sequence
-    u, v, u+v, u+2v, ... provides as many distinct lines as requested; a
-    one-dimensional complement (only possible for d = 2) yields a single
-    candidate.
+    a is read as integers A over the lcm D of its denominators, so the
+    candidates of A / D are integers over D. When the orthogonal complement
+    of a has dimension >= 2 the sequence u, v, u+v, u+2v, ... provides as
+    many distinct lines as requested; a one-dimensional complement (only
+    possible for d = 2) yields a single candidate.
     """
-    pool = _orthogonal_candidates(a)
+    den = lcm(*(x.denominator for x in a))
+    pool = _orthogonal_candidates([x.numerator * (den // x.denominator) for x in a], den)
     if not pool:
-        return []
+        return den, []
     u = pool[0]
     v = next((c for c in pool[1:] if not _parallel(u, c)), None)
     if v is None:
-        return [u]
+        return den, [u]
     candidates = [u, v]
     t = 1
     while len(candidates) < count:
         candidates.append(tuple(uc + t * vc for uc, vc in zip(u, v)))
         t += 1
-    return candidates
+    return den, candidates
 
 
 def hypercube_path(
@@ -237,26 +240,32 @@ def hypercube_path(
         raise ConstraintError("scale must be nonzero; zero would collapse all points")
 
     r = len(directions)
-    base: list[tuple[Fraction, ...]] = []
+    base: list[tuple[int, tuple[int, ...]]] = []  # offset i before scaling is c / D
     for idx, dirn in enumerate(directions):
-        candidates = _offset_candidates(dirn.vector, r + 2)
-        picked = next((c for c in candidates if not any(_parallel(c, b) for b in base)), None)
+        den, candidates = _offset_candidates(dirn.vector, r + 2)
+        picked = next((c for c in candidates if not any(_parallel(c, b) for _, b in base)), None)
         if picked is None:
             raise ConstraintError(
                 f"no offset orthogonal to direction {idx} is independent of the earlier "
                 "offsets (parallel directions in the plane leave a single orthogonal line)"
             )
-        base.append(picked)
+        base.append((den, picked))
+    # coordinate k of every point is an integer over dens[k]; offset i is
+    # scale * prime_i * c_i / D_i
+    common = scale.denominator * lcm(*(den for den, _ in base))
+    dens = [lcm(x.denominator, common) for x in center_vec]
+    start = [x.numerator * (m // x.denominator) for x, m in zip(center_vec, dens)]
+    epsilons = tuple(product((0, 1), repeat=r))
     for shift in range(len(_PRIMES) - r + 1):
-        offsets = [
-            tuple(scale * _PRIMES[shift + i] * c for c in base[i]) for i in range(r)
+        factors = [scale.numerator * _PRIMES[shift + i] for i in range(r)]
+        offsets = tuple(
+            tuple(Fraction(f * c, scale.denominator * den) if c else _ZERO for c in vec)
+            for f, (den, vec) in zip(factors, base)
+        )
+        steps = [
+            [f * c * (m // (scale.denominator * den)) for c, m in zip(vec, dens)]
+            for f, (den, vec) in zip(factors, base)
         ]
-        # coordinate k of every point is an integer over one denominator per axis
-        dens = [lcm(*(x.denominator for x in axis)) for axis in zip(center_vec, *offsets)]
-        start, *steps = [
-            [x.numerator * (m // x.denominator) for x, m in zip(vec, dens)] for vec in (center_vec, *offsets)
-        ]
-        epsilons = tuple(product((0, 1), repeat=r))
         numerators = []
         for eps in epsilons:
             point = start
@@ -265,11 +274,13 @@ def hypercube_path(
                     point = [a + b for a, b in zip(point, step)]
             numerators.append(tuple(point))
         if len(set(numerators)) == len(numerators):
-            coords = (tuple(map(Fraction, point, dens)) for point in numerators)
+            # one Fraction per distinct coordinate value
+            axes = [{n: Fraction(n, m) for n in set(column)} for column, m in zip(zip(*numerators), dens)]
+            coords = (tuple(axis[n] for axis, n in zip(axes, point)) for point in numerators)
             points = PointSet(tuple(Point(k + 1, c) for k, c in enumerate(coords)))
             lam = tuple((_ONE, -_ONE)[sum(eps) % 2] for eps in epsilons)
             instance = ridge_instance(directions, points)
-            path = HypercubePath(center_vec, tuple(offsets), epsilons, instance, lam)
+            path = HypercubePath(center_vec, offsets, epsilons, instance, lam)
             # nonzero signs that annihilate every level class: a closed path
             verify_certificate(instance_incidence(instance), path.certificate())
             return path

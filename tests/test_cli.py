@@ -51,6 +51,16 @@ def test_golden_reports(tmp_path, capsys, name, before, after, code):
     assert out.read_bytes() == expected_path(name, before).read_bytes()
 
 
+def test_fixture_corpus_regenerates_byte_identical():
+    # the instance documents too: hypercube_plane.json comes from hypercube_path
+    proc = subprocess.run(
+        [sys.executable, "scripts/make_fixtures.py", "--check"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("name,before,after,code", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_repeated_runs_are_byte_identical(capsys, name, before, after, code):
     argv = before + [str(FIXTURES / f"{name}.json")] + after + ["--json"]

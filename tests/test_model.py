@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linsuper import (
@@ -13,12 +13,15 @@ from linsuper import (
     abstract_points,
     build_incidence,
     build_level_classes,
+    detect,
+    enumerate_minimal,
+    is_representable,
     kernel_basis,
     quantize_family,
 )
 
 from examples import five_point_path
-from oracles import random_instance
+from oracles import random_instance, random_superposition, random_table
 
 F = Fraction
 
@@ -128,6 +131,45 @@ def test_value_relabeling_leaves_matrix_rows_unchanged(seed):
     rows1 = sorted(inc.matrix.row(i) for i in range(inc.matrix.rows))
     rows2 = sorted(inc2.matrix.row(i) for i in range(inc2.matrix.rows))
     assert rows1 == rows2
+
+
+def _permute_functions(ff, rng):
+    order = list(range(ff.r))
+    rng.shuffle(order)
+    return FunctionFamily(tuple(ff.tables[k] for k in order))
+
+
+def _duplicate_function(ff, rng):
+    return FunctionFamily(ff.tables + (dict(ff.tables[rng.randrange(ff.r)]),))
+
+
+def _append_constant(ff, rng):
+    return FunctionFamily(ff.tables + (dict.fromkeys(ff.tables[0], F(rng.randint(-3, 3))),))
+
+
+def _answers(ps, ff, targets):
+    """The detect certificate, the exhaustive circuits and the verdicts on the targets."""
+    inc = build_incidence(ps, ff)
+    cert = detect(inc)
+    circuits = enumerate_minimal(inc, len(ps), "exhaustive")
+    verdicts = []
+    for f in targets:
+        res = is_representable(inc, f)
+        violation = res.violation and (res.violation.support, res.violation.lam)
+        verdicts.append((res.representable, violation, res.violation_value))
+    return cert and (cert.support, cert.lam), [(c.support, c.lam) for c in circuits], verdicts
+
+
+@pytest.mark.parametrize("transform", [_permute_functions, _duplicate_function, _append_constant])
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(deadline=None)
+def test_family_changes_that_keep_the_kernel_keep_every_answer(transform, seed, draw_seed):
+    # each change keeps the kernel of the incidence matrix, hence every
+    # canonical kernel vector: the answers must be the same, exactly
+    ps, ff = instances(seed)
+    rng = random.Random(draw_seed)
+    targets = [random_table(rng, ps.ids), random_superposition(rng, ps, ff)]
+    assert _answers(ps, transform(ff, rng), targets) == _answers(ps, ff, targets)
 
 
 def test_point_set_rejects_duplicate_ids():

@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linsuper import (
     ClosedPathCertificate,
     ContractViolationError,
     FunctionFamily,
+    InputValidationError,
     abstract_points,
     build_incidence,
     certificate_from_kernel_vector,
@@ -21,6 +22,7 @@ from linsuper import (
     integer_primitive,
     is_closed_path,
     kernel_basis,
+    l1_normalized,
     verify_certificate,
 )
 
@@ -90,8 +92,6 @@ def test_is_closed_path_three_shared_values():
 
 
 def test_is_closed_path_rejects_unknown_id(inc5):
-    from linsuper import InputValidationError
-
     with pytest.raises(InputValidationError, match="unknown point id"):
         is_closed_path(inc5, (1, 99))
 
@@ -150,8 +150,6 @@ def test_enumerate_grid_single_square():
 
 
 def test_enumerate_rejects_bad_arguments(inc5):
-    from linsuper import InputValidationError
-
     with pytest.raises(InputValidationError):
         enumerate_minimal(inc5, 1, "exhaustive")
     with pytest.raises(InputValidationError):
@@ -253,8 +251,6 @@ def test_minimal_certificate_unique_up_to_sign(inc5):
     basis = kernel_basis(inc5.restricted(cert.support))
     assert len(basis) == 1
     assert all(x.denominator >= 1 for x in cert.lam)  # rational by construction
-    from linsuper import l1_normalized
-
     assert l1_normalized(basis[0]) == cert.lam
 
 
@@ -323,3 +319,34 @@ def test_verify_rejects_tampered_certificate(inc5):
     unordered = ClosedPathCertificate(cert.support[::-1], cert.lam[::-1])
     with pytest.raises(InternalInvariantError, match="column order"):
         verify_certificate(inc5, unordered)
+
+
+_NEAR = F(1, 10**40)
+
+
+@given(
+    st.lists(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=12)), min_size=1, max_size=6),
+    st.booleans(),
+    st.sampled_from([0, _NEAR, -_NEAR]),
+)
+@example([F(1, 2), F(-1, 2)], False, _NEAR)
+@example([F(1, 2), F(-1, 2)], False, -_NEAR)
+@example([1], False, -_NEAR)
+@example([F(1, 3), 0, F(-2, 3)], False, 0)
+def test_certificate_checks_match_the_fraction_formulas(raw, unit, nudge):
+    # the checks run on integer numerators over one denominator; they must
+    # decide exactly as the Fraction formulas do, near misses of the unit
+    # norm included, on a mix of ints and Fractions
+    total = sum(abs(x) for x in raw)
+    lam = [F(x) / total if unit and total else x for x in raw]
+    lam[-1] += nudge
+    lam = tuple(int(x) if x.denominator == 1 else x for x in lam)
+    support = tuple(range(1, len(lam) + 1))
+    for normalized in (False, True):
+        if any(x == 0 for x in lam) or (normalized and sum(abs(x) for x in lam) != 1):
+            with pytest.raises(InputValidationError):
+                ClosedPathCertificate(support, lam, normalized)
+            continue
+        cert = ClosedPathCertificate(support, lam, normalized)
+        assert cert.integer_lambda() == integer_primitive(lam)
+        assert cert.normalized_lambda() == l1_normalized(lam)

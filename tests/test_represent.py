@@ -14,11 +14,11 @@ from linsuper import (
     make_witness,
     representable_by_orthogonality,
     rref,
-    verify_permissible_implication,
 )
 
 from examples import broken_line, five_point_path, simplex_corners
 from oracles import random_instance, random_superposition, random_table
+from permissibility import verify_permissible_implication
 
 F = Fraction
 

@@ -165,6 +165,69 @@ def test_hypercube_interior_points_defeat_representability():
         assert not is_representable(inc, witness.f0).representable
 
 
+# Hypercube paths with fractional inputs, pinned exactly: offsets (the u + t*v
+# candidates depend on the direction itself, not just on its ray), points in
+# construction order, and the signs of lam. Cases: one fractional direction
+# three times; zero components mixing coordinate and swap-negate candidates;
+# a fractional center and scale in R^2; repeated directions in R^4.
+HYPERCUBE_PINS = [
+    (
+        [(F(1, 2), F(1, 3), 1)] * 3,
+        (0, 0, 0),
+        1,
+        ["2/3 -1 0", "3 0 -3/2", "20/3 -5/2 -5/2"],
+        "0 0 0, 20/3 -5/2 -5/2, 3 0 -3/2, 29/3 -5/2 -4, 2/3 -1 0, 22/3 -7/2 -5/2, 11/3 -1 -3/2, "
+        "31/3 -7/2 -4",
+        "+--+-++-",
+    ),
+    (
+        [(0, F(1, 2), F(3, 4)), (F(2, 3), 0, 0), (1, F(-1, 5), 0), (F(1, 2), F(1, 3), 1)],
+        (F(1, 3), F(-2, 7), F(5, 4)),
+        F(3, 5),
+        ["6/5 0 0", "0 9/5 0", "0 0 3", "7/5 -21/10 0"],
+        "1/3 -2/7 5/4, 26/15 -167/70 5/4, 1/3 -2/7 17/4, 26/15 -167/70 17/4, 1/3 53/35 5/4, "
+        "26/15 -41/70 5/4, 1/3 53/35 17/4, 26/15 -41/70 17/4, 23/15 -2/7 5/4, 44/15 -167/70 5/4, "
+        "23/15 -2/7 17/4, 44/15 -167/70 17/4, 23/15 53/35 5/4, 44/15 -41/70 5/4, 23/15 53/35 17/4, "
+        "44/15 -41/70 17/4",
+        "+--+-++--++-+--+",
+    ),
+    (
+        [(F(1, 2), F(1, 3)), (F(2, 5), F(-3, 4)), (0, F(7, 3))],
+        (F(-1, 2), F(2, 3)),
+        F(5, 6),
+        ["5/9 -5/6", "-15/8 -1", "25/6 0"],
+        "-1/2 2/3, 11/3 2/3, -19/8 -1/3, 43/24 -1/3, 1/18 -1/6, 38/9 -1/6, -131/72 -7/6, "
+        "169/72 -7/6",
+        "+--+-++-",
+    ),
+    (
+        [(F(1, 2), F(1, 3), F(-1, 4), 2)] * 3 + [(0, F(1, 7), F(2, 9), F(-5, 3))],
+        (F(1, 2), F(1, 3), F(1, 4), F(1, 5)),
+        F(-2, 3),
+        ["-4/9 2/3 0 0", "1/2 0 1 0", "-5/18 5/3 5/3 0", "-14/3 0 0 0"],
+        "1/2 1/3 1/4 1/5, -25/6 1/3 1/4 1/5, 2/9 2 23/12 1/5, -40/9 2 23/12 1/5, 1 1/3 5/4 1/5, "
+        "-11/3 1/3 5/4 1/5, 13/18 2 35/12 1/5, -71/18 2 35/12 1/5, 1/18 1 1/4 1/5, "
+        "-83/18 1 1/4 1/5, -2/9 8/3 23/12 1/5, -44/9 8/3 23/12 1/5, 5/9 1 5/4 1/5, "
+        "-37/9 1 5/4 1/5, 5/18 8/3 35/12 1/5, -79/18 8/3 35/12 1/5",
+        "+--+-++--++-+--+",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "dirs, center, scale, offsets, points, signs", HYPERCUBE_PINS, ids=["repeated", "zeros", "plane", "space"]
+)
+def test_hypercube_fractional_inputs_are_pinned(dirs, center, scale, offsets, points, signs):
+    def vec(text):
+        return tuple(map(F, text.split()))
+
+    path = hypercube_path([direction(d) for d in dirs], center, scale)
+    assert path.center == tuple(map(F, center))
+    assert path.offsets == tuple(map(vec, offsets))
+    assert tuple(p.coords for p in path.instance.points.points) == tuple(map(vec, points.split(", ")))
+    assert path.lam == tuple(F(1) if s == "+" else F(-1) for s in signs)
+
+
 def test_ridge_values_match_reversed_accumulation():
     rng = random.Random(11)
     d = 4
