@@ -147,7 +147,8 @@ def parse_instance_text(text: str) -> InstanceDocument:
         if not isinstance(doc["target"], dict):
             raise InputValidationError('"target" must be an object mapping point ids to values')
         target = _id_table(doc["target"], "target")
-        unknown = [pid for pid in target if pid not in point_set.ids]
+        known = set(point_set.ids)
+        unknown = [pid for pid in target if pid not in known]
         if unknown:
             raise InputValidationError(f"target mentions unknown point id {unknown[0]}")
 

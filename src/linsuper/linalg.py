@@ -4,9 +4,13 @@ Every result is exact; there is no floating point anywhere in this module.
 A matrix keeps each row once as sparse integers over a positive row
 denominator (a 0/1 incidence matrix has r ones per column), and the one
 elimination, `rref`, works on those integer rows fraction-free in the
-manner of Bareiss. Kernel, rank and solve are read off its reduced integer
-rows. A Fraction is formed only where a value is handed out: the entries of
-a matrix, kernel vectors and solutions.
+manner of Bareiss: a forward pass takes the pivot columns in order and
+clears each below its pivot row, then one back-substitution from the last
+pivot up clears the rest above. The reduced row echelon form is unique, so
+neither that order nor the choice of pivot rows can change what `rref`
+returns. Kernel, rank and solve are read off its reduced integer rows. A
+Fraction is formed only where a value is handed out: the entries of a
+matrix, kernel vectors and solutions.
 """
 
 from __future__ import annotations
@@ -128,6 +132,12 @@ class RationalMatrix:
         return _dense(self.cols, ((j, _fraction(n, den)) for j, n in nums.items()))
 
     def transpose(self) -> "RationalMatrix":
+        if all(den == 1 for den, _ in self._data):  # integer rows (every incidence matrix)
+            columns: list[dict[int, int]] = [{} for _ in range(self.cols)]
+            for i, (_, nums) in enumerate(self._data):
+                for j, n in nums.items():
+                    columns[j][i] = n
+            return RationalMatrix._from_storage(self.cols, self.rows, tuple((1, c) for c in columns))
         cells: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
         for i, (den, nums) in enumerate(self._data):
             for j, n in nums.items():
@@ -179,10 +189,15 @@ def _reduce(row: dict[int, int], prow: dict[int, int], pc: int) -> None:
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form and the ordered pivot columns.
 
-    Gauss-Jordan on copies of the integer rows. Pending rows wait in buckets
-    by leading column, so the rows holding the next pivot column are at hand.
-    Since the reduced form is unique, any of them can be the pivot row: the
-    sparsest keeps fill-in low.
+    A forward pass over copies of the integer rows takes the pivot columns
+    in order. Pending rows wait in buckets by leading column, so the rows
+    holding the next pivot column are at hand; one of them becomes the pivot
+    row and the others are cleared below it. One back-substitution then runs
+    from the last pivot up: each row clears each later pivot column once,
+    against a row that is already final and so holds no other pivot column.
+    The reduced form of a matrix is unique, so neither the order of the
+    clearing nor the choice among the rows holding a pivot column can change
+    it: the sparsest of them is the pivot row, which keeps fill-in low.
     """
     buckets: dict[int, list[dict[int, int]]] = {}
     for _, nums in m._data:
@@ -201,16 +216,21 @@ def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
                 _reduce(row, prow, pc)
                 if row:
                     buckets.setdefault(min(row), []).append(row)
-        for _, row in done:
-            if pc in row:
-                _reduce(row, prow, pc)
         done.append((pc, prow))
+    final: dict[int, dict[int, int]] = {}  # pivot column -> its reduced row, pivot entry > 0
     data = []
-    for pc, row in done:  # row / row[pc] in normal form: its pivot entry is 1
-        g = gcd(*row.values())
+    for pc, row in reversed(done):
+        if len(row) > 1:
+            for j in final.keys() & row.keys():  # the later pivot columns in the row
+                _reduce(row, final[j], j)
+        g = gcd(*row.values())  # row / row[pc] in normal form: its pivot entry is 1
         if row[pc] < 0:
             g = -g
-        data.append((row[pc] // g, {j: v // g for j, v in row.items()} if g != 1 else row))
+        if g != 1:
+            row = {j: v // g for j, v in row.items()}
+        final[pc] = row
+        data.append((row[pc], row))
+    data.reverse()
     data.extend([(1, {})] * (m.rows - len(done)))
     return RationalMatrix._from_storage(m.rows, m.cols, tuple(data)), tuple(pc for pc, _ in done)
 
@@ -264,9 +284,10 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
     basis: list[Vector] = []
     for fc in sorted(set(range(m.cols)) - set(pivots)):
         terms = by_free.get(fc, ())
-        # v[pc] = -n/d, scaled by the lcm of the reduced denominators; the
-        # lowest pivot column holds the first nonzero entry
-        scale = lcm(*(d // gcd(n, d) for _, n, d in terms))
+        # v[pc] = -n/d, scaled by the lcm of the reduced denominators, of
+        # which the integer rows need no gcd; the lowest pivot column holds
+        # the first nonzero entry
+        scale = lcm(*(d // gcd(n, d) for _, n, d in terms if d != 1))
         if terms and terms[0][1] > 0:
             scale = -scale
         entries = [(pc, _fraction(-n * scale // d)) for pc, n, d in terms]

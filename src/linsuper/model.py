@@ -16,7 +16,6 @@ quantize_family pass, which reports every merge it performs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -38,23 +37,22 @@ class PointSet:
     """Ordered finite point set; the order fixes the matrix column order."""
 
     points: tuple[Point, ...]
+    ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        ids = tuple(p.id for p in self.points)
         seen: set[int] = set()
-        for p in self.points:
-            if p.id in seen:
-                raise InputValidationError(f"duplicate point id {p.id}")
-            seen.add(p.id)
+        for pid in ids:
+            if pid in seen:
+                raise InputValidationError(f"duplicate point id {pid}")
+            seen.add(pid)
+        object.__setattr__(self, "ids", ids)
         dims = {len(p.coords) for p in self.points if p.coords is not None}
         if len(dims) > 1:
             raise InputValidationError(f"points carry coordinates of mixed dimensions {sorted(dims)}")
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(p.id for p in self.points)
 
     @property
     def dimension(self) -> int | None:
@@ -121,7 +119,10 @@ def coordinate_functions(ps: PointSet) -> FunctionFamily:
 
 @dataclass(frozen=True)
 class LevelClass:
-    """All points on which one function takes one value; keyed by (index, value)."""
+    """All points on which one function takes one value; keyed by (index, value).
+
+    `build_level_classes` also sets `_columns`, the members' positions in the point set.
+    """
 
     function_index: int
     value: Fraction
@@ -145,18 +146,32 @@ def build_level_classes(ps: PointSet, ff: FunctionFamily) -> tuple[LevelClass, .
             values = [table[pid] for pid in ids]
         except KeyError as exc:
             raise InputValidationError(f"function {i} has no value for point id {exc.args[0]}") from None
-        # value v is key / den: ints hash and compare much faster than Fractions
-        ratios = [v.as_integer_ratio() for v in values]
+        # One pass groups the columns by value object (a ridge table holds one
+        # Fraction per level), then the objects by exact value: value v is
+        # key / den, and ints hash and compare much faster than Fractions.
+        by_object: dict[int, list[int]] = {}
+        for j, v in enumerate(values):
+            columns = by_object.get(id(v))
+            if columns is None:
+                by_object[id(v)] = [j]
+            else:
+                columns.append(j)
+        ratios = [values[columns[0]].as_integer_ratio() for columns in by_object.values()]
         den = lcm(*(d for _, d in ratios))
-        groups: dict[int, tuple[Fraction, list[int]]] = {}
-        for pid, v, (n, d) in zip(ids, values, ratios):
+        groups: dict[int, list[int]] = {}
+        for (n, d), columns in zip(ratios, by_object.values()):
             group = groups.get(key := n * (den // d))
             if group is None:
-                group = groups[key] = (v, [])
-            group[1].append(pid)
+                groups[key] = columns
+            else:
+                group.extend(columns)
+        if sum(map(len, groups.values())) != len(ids):  # pragma: no cover - a partition by construction
+            raise InternalInvariantError(f"the classes of function {i} do not partition the points")
         for key in sorted(groups):
-            value, members = groups[key]
-            classes.append(LevelClass(i, value, frozenset(members)))
+            columns = groups[key]
+            cls = LevelClass(i, values[columns[0]], frozenset(map(ids.__getitem__, columns)))
+            object.__setattr__(cls, "_columns", columns)
+            classes.append(cls)
     return tuple(classes)
 
 
@@ -200,14 +215,8 @@ class IncidenceMatrix:
 
 def build_incidence(ps: PointSet, ff: FunctionFamily) -> IncidenceMatrix:
     classes = build_level_classes(ps, ff)
-    ids = ps.ids
-    index = {pid: j for j, pid in enumerate(ids)}
-    supports = [[index[pid] for pid in cls.members] for cls in classes]
-    counts = Counter(j for support in supports for j in support)
-    for j, pid in enumerate(ids):
-        if counts[j] != ff.r:  # pragma: no cover - construction guarantees this
-            raise InternalInvariantError(f"column {j} lies in {counts[j]} classes, expected {ff.r}")
-    return IncidenceMatrix(RationalMatrix._zero_one(len(ids), supports), classes, ids, index)
+    matrix = RationalMatrix._zero_one(len(ps), [cls._columns for cls in classes])
+    return IncidenceMatrix(matrix, classes, ps.ids)
 
 
 @dataclass(frozen=True)

@@ -131,9 +131,8 @@ def _circuit(point_ids: Sequence[int], vec: Vector) -> ClosedPathCertificate:
     """
     pairs = [(pid, x.numerator) for pid, x in zip(point_ids, vec) if x is not _ZERO]
     total = sum(abs(n) for _, n in pairs)
-    return ClosedPathCertificate(
-        tuple(pid for pid, _ in pairs), tuple(Fraction(n, total) for _, n in pairs), True, True
-    )
+    lam = {n: Fraction(n, total) for n in {n for _, n in pairs}}  # one Fraction per distinct coefficient
+    return ClosedPathCertificate(tuple(pid for pid, _ in pairs), tuple(lam[n] for _, n in pairs), True, True)
 
 
 def _closed_kernel(inc: IncidenceMatrix, support: Iterable[int]) -> tuple[tuple[int, ...], list[Vector]]:

@@ -127,11 +127,11 @@ def make_witness(cert: ClosedPathCertificate, points: PointSet | Sequence[int]) 
     `points` may be the point set itself or just its ids; the witness is 0
     on every point outside the certificate support.
     """
-    point_ids = points.ids if isinstance(points, PointSet) else tuple(points)
-    missing = [pid for pid in cert.support if pid not in point_ids]
+    point_ids = points.ids if isinstance(points, PointSet) else points
+    f0 = {pid: _ZERO for pid in point_ids}
+    missing = [pid for pid in cert.support if pid not in f0]
     if missing:
         raise InputValidationError(f"certificate support {missing} is not part of the point set")
-    f0 = {pid: _ZERO for pid in point_ids}
     for pid, lam in zip(cert.support, cert.lam):
         f0[pid] = _ONE if lam > 0 else -_ONE
     value = evaluate_certificate(cert, f0)

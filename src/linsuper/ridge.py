@@ -78,11 +78,17 @@ def ridge_instance(directions: Sequence[Direction], points: PointSet) -> RidgeIn
             raise InputValidationError(
                 f"points have dimension {points.dimension}, directions have {dim}"
             )
-    # coordinate k of every point is X_k / D_k with one denominator D_k per
-    # axis, so a . x = sum(A_k X_k) / L with integers A_k = L a_k / D_k
     axes = [[p.coords[k] for p in points.points] for k in range(dim)]
     scales = [lcm(*(x.denominator for x in axis)) for axis in axes]
     columns = [[x.numerator * (s // x.denominator) for x in axis] for axis, s in zip(axes, scales)]
+    return _tabulate(directions, points, columns, scales)
+
+
+def _tabulate(
+    directions: Sequence[Direction], points: PointSet, columns: Sequence[Sequence[int]], scales: Sequence[int]
+) -> RidgeInstance:
+    """The instance on points whose coordinate k is X_k / D_k = columns[k][j] / scales[k]
+    at point j, tabulated as a . x = sum(A_k X_k) / L with integers A_k = L a_k / D_k."""
     ids = points.ids
     tables = []
     for d in directions:
@@ -275,11 +281,12 @@ def hypercube_path(
             numerators.append(tuple(point))
         if len(set(numerators)) == len(numerators):
             # one Fraction per distinct coordinate value
-            axes = [{n: Fraction(n, m) for n in set(column)} for column, m in zip(zip(*numerators), dens)]
+            columns = list(zip(*numerators))
+            axes = [{n: Fraction(n, m) for n in set(column)} for column, m in zip(columns, dens)]
             coords = (tuple(axis[n] for axis, n in zip(axes, point)) for point in numerators)
             points = PointSet(tuple(Point(k + 1, c) for k, c in enumerate(coords)))
             lam = tuple((_ONE, -_ONE)[sum(eps) % 2] for eps in epsilons)
-            instance = ridge_instance(directions, points)
+            instance = _tabulate(directions, points, columns, dens)
             path = HypercubePath(center_vec, offsets, epsilons, instance, lam)
             # nonzero signs that annihilate every level class: a closed path
             verify_certificate(instance_incidence(instance), path.certificate())

@@ -24,6 +24,7 @@ from linsuper import (
     rref,
     solve,
 )
+from examples import broken_line
 from oracles import dense_kernel, dense_rref, dense_solve, random_instance, random_table
 
 F = Fraction
@@ -234,6 +235,21 @@ def test_engine_matches_dense_reference_on_incidence_matrices():
         assert_engine_matches_reference(inc.matrix, [F(0)] * inc.matrix.rows)
         transposed = inc.matrix.transpose()
         assert_engine_matches_reference(transposed, [values[pid] for pid in ps.ids])
+
+
+def test_engine_matches_dense_reference_on_transposed_broken_lines():
+    # [M^T | f] of a broken line is a path: the forward pass leaves a long
+    # chain above the pivots for the back-substitution, and no order of the
+    # rows may change the result
+    rng = random.Random(20261018)
+    for count in (2, 7, 24, 60):
+        ps, ff = broken_line(count)
+        transposed = build_incidence(ps, ff).matrix.transpose()
+        target = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
+        assert_engine_matches_reference(transposed, target)
+        order = rng.sample(range(count), count)
+        permuted = M([transposed.row(i) for i in order], cols=transposed.cols)
+        assert_engine_matches_reference(permuted, [target[i] for i in order])
 
 
 def test_kernel_basis_and_solve_each_call_rref_once(monkeypatch):

@@ -13,11 +13,15 @@ from linsuper import (
     abstract_points,
     build_incidence,
     build_level_classes,
+    classify_ni,
+    coordinate_points,
     detect,
+    direction,
     enumerate_minimal,
     is_representable,
     kernel_basis,
     quantize_family,
+    ridge_instance,
 )
 
 from examples import five_point_path
@@ -170,6 +174,33 @@ def test_family_changes_that_keep_the_kernel_keep_every_answer(transform, seed, 
     rng = random.Random(draw_seed)
     targets = [random_table(rng, ps.ids), random_superposition(rng, ps, ff)]
     assert _answers(ps, transform(ff, rng), targets) == _answers(ps, ff, targets)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool), min_size=3, max_size=3),
+)
+@settings(deadline=None)
+def test_scaling_ridge_directions_keeps_every_answer(seed, factors):
+    # c a . x takes equal values exactly where a . x does, so the level
+    # classes stay (a negative c reverses their order, which only permutes
+    # the rows): every canonical kernel vector, hence every answer, stays
+    rng = random.Random(seed)
+    d, r = rng.choice((2, 3)), rng.randint(1, 3)
+    grid = [tuple(F(rng.randint(0, 2)) for _ in range(d)) for _ in range(12)]
+    points = coordinate_points(list(dict.fromkeys(grid))[:7])
+    vectors = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(d)] for _ in range(r)]
+    vectors = [v if any(v) else [F(1)] * d for v in vectors]
+    base = ridge_instance([direction(v) for v in vectors], points)
+    scaled = ridge_instance([direction([c * x for x in v]) for v, c in zip(vectors, factors)], points)
+
+    def classes(instance):
+        return {(c.function_index, c.members) for c in build_level_classes(points, instance.family)}
+
+    assert classes(scaled) == classes(base)
+    targets = [random_table(rng, points.ids), random_superposition(rng, points, base.family)]
+    assert _answers(points, scaled.family, targets) == _answers(points, base.family, targets)
+    assert classify_ni(scaled) == classify_ni(base)
 
 
 def test_point_set_rejects_duplicate_ids():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from linsuper import (
@@ -446,3 +446,26 @@ def test_ridge_values_equal_dot_products(drawn):
         for p in points.points:
             assert table[p.id] == dot(vector, p.coords)
             assert type(table[p.id]) is Fraction
+
+
+cube_components = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3), F(3, 4), F(-5, 7), F(7, 5)])
+
+
+@given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+    st.lists(st.lists(cube_components, min_size=d, max_size=d).filter(any), min_size=1, max_size=4),
+    st.lists(cube_components, min_size=d, max_size=d),
+    cube_components.filter(bool),
+)))
+def test_hypercube_instance_is_the_ridge_instance_of_its_points(drawn):
+    # hypercube_path tabulates its integer coordinates without going through
+    # ridge_instance; the tables and provenance must be the same
+    vectors, center, scale = drawn
+    dirs = [direction(v) for v in vectors]
+    try:
+        path = hypercube_path(dirs, center, scale)
+    except ConstraintError:
+        assume(False)  # parallel plane directions leave a single orthogonal line
+    expected = ridge_instance(dirs, path.instance.points)
+    assert path.instance.family.tables == expected.family.tables
+    assert path.instance.family.provenance == expected.family.provenance
+    assert path.instance == expected
