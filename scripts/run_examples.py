@@ -20,7 +20,6 @@ from linsuper import (
     direction,
     enumerate_minimal,
     hypercube_path,
-    instance_incidence,
     is_representable,
     make_witness,
     ridge_instance,
@@ -99,7 +98,7 @@ def main() -> None:
     )
     print("offsets:", [show(b) for b in path.offsets])
     print("2^3 points with signs", show(path.lam))
-    inc_cube = instance_incidence(path.instance)
+    inc_cube = build_incidence(path.instance.points, path.instance.family)
     witness = make_witness(path.certificate(), path.instance.points)
     print("its witness is representable:",
           is_representable(inc_cube, witness.f0).representable)

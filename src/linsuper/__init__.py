@@ -19,7 +19,6 @@ from .linalg import (
     dot,
     integer_primitive,
     kernel_basis,
-    l1_normalized,
     rank,
     rref,
     solve,
@@ -75,7 +74,6 @@ from .ridge import (
     direction,
     generate_pathfree_example,
     hypercube_path,
-    instance_incidence,
     ridge_instance,
     triangle_wave,
 )

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .model import (
     FunctionFamily,
-    IncidenceMatrix,
     Point,
     PointSet,
     QuantizeMerge,
@@ -79,9 +78,6 @@ class InstanceDocument:
     options: Options
     quantize_merges: tuple[QuantizeMerge, ...] = ()
 
-    def incidence(self) -> IncidenceMatrix:
-        return build_incidence(self.points, self.family)
-
 
 def _reject_float(literal: str) -> None:
     raise InputValidationError(
@@ -114,6 +110,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
             coords = tuple(parse_rational(c) for c in entry["coords"])
         points.append(Point(pid, coords))
     point_set = PointSet(tuple(points))
+    known = set(point_set.ids)
 
     functions = doc.get("functions")
     if not isinstance(functions, dict) or "kind" not in functions:
@@ -127,7 +124,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
         for i, table_raw in enumerate(tables_raw):
             if not isinstance(table_raw, dict):
                 raise InputValidationError(f"functions.tables[{i}] must be an object")
-            table = _id_table(table_raw, f"functions.tables[{i}]")
+            table = _id_table(table_raw, f"functions.tables[{i}]", known)
             missing = [pid for pid in point_set.ids if pid not in table]
             if missing:
                 raise InputValidationError(f"function {i} misses values for point ids {missing}")
@@ -146,23 +143,21 @@ def parse_instance_text(text: str) -> InstanceDocument:
     if doc.get("target") is not None:
         if not isinstance(doc["target"], dict):
             raise InputValidationError('"target" must be an object mapping point ids to values')
-        target = _id_table(doc["target"], "target")
-        known = set(point_set.ids)
-        unknown = [pid for pid in target if pid not in known]
-        if unknown:
-            raise InputValidationError(f"target mentions unknown point id {unknown[0]}")
+        target = _id_table(doc["target"], "target", known)
 
     return InstanceDocument(point_set, family, directions, target, _parse_options(doc.get("options")))
 
 
-def _id_table(raw: dict, where: str) -> dict[int, Fraction]:
-    """A JSON object mapping point ids to rationals."""
+def _id_table(raw: dict, where: str, known: set[int]) -> dict[int, Fraction]:
+    """A JSON object mapping ids of known points to rationals."""
     table = {}
     for key, value in raw.items():
         try:
             pid = int(key)
         except ValueError:
             raise InputValidationError(f"{where} key {key!r} is not a point id") from None
+        if pid not in known:
+            raise InputValidationError(f"{where} mentions unknown point id {pid}")
         table[pid] = parse_rational(value)
     return table
 
@@ -216,7 +211,6 @@ def instance_to_jsonable(
     directions: Sequence[Direction] | None = None,
     family: FunctionFamily | None = None,
     target: dict[int, Fraction] | None = None,
-    options: Options | None = None,
 ) -> dict:
     doc: dict[str, Any] = {"format": FORMAT_VERSION}
     doc["points"] = [
@@ -242,8 +236,6 @@ def instance_to_jsonable(
         raise ValueError("either directions or family is required")
     if target is not None:
         doc["target"] = {str(pid): format_rational(v) for pid, v in target.items()}
-    if options is not None:
-        doc["options"] = _options_jsonable(options)
     return doc
 
 
@@ -298,7 +290,7 @@ Outcome = tuple[dict, list[str], int]  # report fields, human lines, exit code
 
 
 def _detect(doc: InstanceDocument, options: Options, args: argparse.Namespace) -> Outcome:
-    inc = doc.incidence()
+    inc = build_incidence(doc.points, doc.family)
     cert = detect(inc)
     fields = {
         "points": len(doc.points),
@@ -316,7 +308,7 @@ def _detect(doc: InstanceDocument, options: Options, args: argparse.Namespace) -
 
 
 def _circuits(doc: InstanceDocument, options: Options, args: argparse.Namespace) -> Outcome:
-    inc = doc.incidence()
+    inc = build_incidence(doc.points, doc.family)
     certs = enumerate_minimal(inc, options.max_support, options.mode)
     for cert in certs:
         verify_certificate(inc, cert)
@@ -340,7 +332,7 @@ def _circuits(doc: InstanceDocument, options: Options, args: argparse.Namespace)
 def _represent(doc: InstanceDocument, options: Options, args: argparse.Namespace) -> Outcome:
     if doc.target is None:
         raise InputValidationError('represent needs a "target" table in the instance file')
-    inc = doc.incidence()
+    inc = build_incidence(doc.points, doc.family)
     result = is_representable(inc, doc.target)
     if result.representable:
         dec = result.decomposition
@@ -414,13 +406,6 @@ def _hypercube(doc: InstanceDocument, options: Options, args: argparse.Namespace
     return fields, human, 0
 
 
-_GENERATOR_DEFAULT_DIRECTIONS = {
-    "parallel-lines": "1,0;0,1",
-    "zigzag": "1,1;1,-1",
-    "transversal-curve": "1,0;0,1",
-}
-
-
 def _vector(text: str) -> tuple[Fraction, ...]:
     return tuple(parse_rational(c) for c in text.split(","))
 
@@ -432,23 +417,31 @@ def _parse_vectors(text: str) -> list[tuple[Fraction, ...]]:
     return vectors
 
 
+def _directions(text: str) -> tuple[Direction, ...]:
+    return tuple(direction(v) for v in _parse_vectors(text))
+
+
 def _generate(args: argparse.Namespace) -> Outcome:
     kind = args.kind
-    dirs_text = args.directions or _GENERATOR_DEFAULT_DIRECTIONS.get(kind)
-    if kind == "staircase" and dirs_text is None:
-        d = args.dimension
-        directions = tuple(
-            direction([1 if i == k else 0 for i in range(d)]) for k in range(d)
-        )
-    elif dirs_text is None:
-        raise InputValidationError(f"--directions is required for kind {kind}")
-    else:
-        directions = tuple(direction(v) for v in _parse_vectors(dirs_text))
-
     params: Any
-    if kind == "parallel-lines":
+    if kind == "zigzag":
+        if args.directions is not None:
+            raise InputValidationError(
+                "--directions does not apply to kind zigzag: its directions are (1,1) and (1,-1)"
+            )
+        params = ZigzagParams(
+            count=args.samples, start=parse_rational(args.start), step=parse_rational(args.step)
+        )
+    elif kind == "staircase":
+        if args.directions:
+            directions = _directions(args.directions)
+        else:
+            d = args.dimension
+            directions = tuple(direction([1 if i == k else 0 for i in range(d)]) for k in range(d))
+        params = StaircaseParams(directions)
+    elif kind == "parallel-lines":
         params = ParallelLinesParams(
-            directions=directions,
+            directions=_directions(args.directions or "1,0;0,1"),
             line_direction=_vector(args.line_direction),
             base_first=_vector(args.base1),
             base_second=_vector(args.base2),
@@ -456,28 +449,20 @@ def _generate(args: argparse.Namespace) -> Outcome:
             start=parse_rational(args.start),
             step=parse_rational(args.step),
         )
-    elif kind == "zigzag":
-        params = ZigzagParams(
-            count=args.samples, start=parse_rational(args.start), step=parse_rational(args.step)
-        )
-    elif kind == "staircase":
-        params = StaircaseParams(directions=directions)
-    elif kind == "transversal-curve":
+    else:  # transversal-curve: argparse allows no other kind
         params = TransversalCurveParams(
-            directions=directions,
+            directions=_directions(args.directions or "1,0;0,1"),
             coefficients=tuple(_parse_vectors(args.coefficients)),
             count=args.samples,
             start=parse_rational(args.start),
             step=parse_rational(args.step),
         )
-    else:  # pragma: no cover - argparse choices forbid this
-        raise InputValidationError(f"unknown kind {kind!r}")
 
     example = generate_pathfree_example(kind, params)
     fields = {
         "kind": kind,
         "note": example.note,
-        "closed_path": not example.path_free,
+        "closed_path": False,
         "points": len(example.instance.points),
         "instance": instance_to_jsonable(
             example.instance.points, directions=example.instance.directions

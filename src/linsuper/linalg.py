@@ -62,8 +62,8 @@ class RationalMatrix:
 
     Row i is a pair (d, {j: n_j}) of a positive denominator and the nonzero
     numerators, with gcd(d, n_j, ...) = 1, so the entry in column j is
-    n_j / d and every matrix has exactly one storage. `entries`, `row` and
-    `at` read Fractions off that storage; equality and hashing compare it.
+    n_j / d and every matrix has exactly one storage. `entries` and `row`
+    read Fractions off that storage; equality and hashing compare it.
     """
 
     __slots__ = ("rows", "cols", "_data")
@@ -86,23 +86,6 @@ class RationalMatrix:
         return m
 
     @classmethod
-    def from_rows(
-        cls, rows: Sequence[Sequence[Fraction | int]], *, cols: int | None = None
-    ) -> "RationalMatrix":
-        width = len(rows[0]) if rows else cols
-        if width is None:
-            raise ValueError("cols is required for a matrix with no rows")
-        if cols is not None and cols != width:
-            raise ValueError(f"cols={cols} disagrees with row width {width}")
-        if any(len(row) != width for row in rows):
-            raise ValueError("rows have inconsistent lengths")
-        return cls._from_storage(len(rows), width, tuple(map(_row, rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls._zero_one(n, [(i,) for i in range(n)])
-
-    @classmethod
     def _zero_one(cls, cols: int, supports: Sequence[Iterable[int]]) -> "RationalMatrix":
         """The 0/1 matrix whose row i has its ones in the columns supports[i]."""
         return cls._from_storage(len(supports), cols, tuple((1, dict.fromkeys(s, 1)) for s in supports))
@@ -123,10 +106,6 @@ class RationalMatrix:
         """All entries, row-major."""
         return tuple(x for i in range(self.rows) for x in self.row(i))
 
-    def at(self, i: int, j: int) -> Fraction:
-        den, nums = self._data[i]
-        return _fraction(nums[j], den) if j in nums else _ZERO
-
     def row(self, i: int) -> Vector:
         den, nums = self._data[i]
         return _dense(self.cols, ((j, _fraction(n, den)) for j, n in nums.items()))
@@ -145,11 +124,6 @@ class RationalMatrix:
         dens = [lcm(*(d for _, _, d in column)) for column in cells]
         data = tuple(_normal(den, {i: n * (den // d) for i, n, d in col}) for col, den in zip(cells, dens))
         return RationalMatrix._from_storage(self.cols, self.rows, data)
-
-    def mul_vector(self, v: Sequence[Fraction]) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(sum((n * v[j] for j, n in nums.items()), _ZERO) / den for den, nums in self._data)
 
     def restrict_columns(self, keep: Sequence[int]) -> "RationalMatrix":
         for j in keep:
@@ -252,18 +226,6 @@ def integer_primitive(vec: Iterable[Fraction]) -> Vector:
     if nums and next(iter(nums.values())) < 0:  # the first nonzero entry
         g = -g
     return _dense(len(items), ((j, _fraction(n // g)) for j, n in nums.items()))
-
-
-def l1_normalized(vec: Iterable[Fraction]) -> Vector:
-    """Scale so the absolute values sum to 1, first nonzero entry positive."""
-    items = tuple(vec)
-    _, nums = _row(items)
-    total = sum(map(abs, nums.values()))
-    if not total:
-        raise ValueError("cannot l1-normalize the zero vector")
-    if next(iter(nums.values())) < 0:
-        total = -total
-    return _dense(len(items), ((j, Fraction(n, total)) for j, n in nums.items()))
 
 
 def kernel_basis(m: RationalMatrix) -> list[Vector]:

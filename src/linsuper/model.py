@@ -76,8 +76,9 @@ def abstract_points(ids: list[int] | tuple[int, ...]) -> PointSet:
     return PointSet(tuple(Point(i) for i in ids))
 
 
-def coordinate_points(coords: list[tuple[Fraction, ...]], first_id: int = 1) -> PointSet:
-    return PointSet(tuple(Point(first_id + k, tuple(c)) for k, c in enumerate(coords)))
+def coordinate_points(coords: list[tuple[Fraction, ...]]) -> PointSet:
+    """Points with ids 1, 2, ... carrying the given coordinates."""
+    return PointSet(tuple(Point(k + 1, tuple(c)) for k, c in enumerate(coords)))
 
 
 @dataclass(frozen=True)
@@ -85,36 +86,21 @@ class FunctionFamily:
     """Tabulated values h_i(x_j): one table per function, point id -> value."""
 
     tables: tuple[dict[int, Fraction], ...]
-    provenance: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.tables:
             raise InputValidationError("a function family needs at least one function")
-        if self.provenance and len(self.provenance) != len(self.tables):
-            raise InputValidationError("provenance tags do not match the number of functions")
-        if not self.provenance:
-            object.__setattr__(self, "provenance", ("tabulated",) * len(self.tables))
 
     @property
     def r(self) -> int:
         return len(self.tables)
-
-    def value_at(self, i: int, point_id: int) -> Fraction:
-        try:
-            return self.tables[i][point_id]
-        except KeyError:
-            raise InputValidationError(
-                f"function {i} has no value for point id {point_id}"
-            ) from None
-        except IndexError:
-            raise InputValidationError(f"function index {i} out of range (r={self.r})") from None
 
 
 def coordinate_functions(ps: PointSet) -> FunctionFamily:
     """The family h_i = i-th coordinate, one function per dimension."""
     dim = ps.require_coordinates()
     tables = tuple({p.id: p.coords[i] for p in ps.points} for i in range(dim))
-    return FunctionFamily(tables, ("tabulated",) * dim)
+    return FunctionFamily(tables)
 
 
 @dataclass(frozen=True)
@@ -255,4 +241,4 @@ def quantize_family(
             if cluster_min != v:
                 merges.append(QuantizeMerge(i, v, cluster_min))
         new_tables.append({pid: replacement[v] for pid, v in table.items()})
-    return FunctionFamily(tuple(new_tables), ff.provenance), tuple(merges)
+    return FunctionFamily(tuple(new_tables)), tuple(merges)

@@ -222,12 +222,10 @@ class FunctionalDecomposition:
 
     Each term is (coefficient, normalized minimal certificate); summing
     coefficient * lambda over the terms, as vectors over point ids,
-    reproduces the input functional exactly. `residual` is empty on
-    success (termination of the peeling guarantees it).
+    reproduces the input functional exactly.
     """
 
     terms: tuple[tuple[Fraction, ClosedPathCertificate], ...]
-    residual: tuple[tuple[int, Fraction], ...] = ()
 
     def recombined(self) -> dict[int, Fraction]:
         table: dict[int, Fraction] = {}

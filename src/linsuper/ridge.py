@@ -23,7 +23,7 @@ from typing import Literal, Sequence
 
 from .errors import ConstraintError, InputValidationError, InternalInvariantError
 from .linalg import _ONE, _ZERO, RationalMatrix, Vector, dot, kernel_basis, solve
-from .model import FunctionFamily, IncidenceMatrix, Point, PointSet, build_incidence
+from .model import FunctionFamily, PointSet, build_incidence, coordinate_points
 from .paths import ClosedPathCertificate, _circuit, certificate_from_kernel_vector, detect, verify_certificate
 
 _PRIMES = (
@@ -101,14 +101,7 @@ def _tabulate(
                 sums = [t + a * x for t, x in zip(sums, column)]
         levels = {v: Fraction(v, common) for v in set(sums)}  # one Fraction per level
         tables.append({pid: levels[v] for pid, v in zip(ids, sums)})
-    provenance = tuple(
-        "ridge(" + ",".join(str(c) for c in d.vector) + ")" for d in directions
-    )
-    return RidgeInstance(tuple(directions), points, FunctionFamily(tuple(tables), provenance))
-
-
-def instance_incidence(instance: RidgeInstance) -> IncidenceMatrix:
-    return build_incidence(instance.points, instance.family)
+    return RidgeInstance(tuple(directions), points, FunctionFamily(tuple(tables)))
 
 
 @dataclass(frozen=True)
@@ -136,7 +129,7 @@ def classify_ni(instance: RidgeInstance) -> NIClassification:
     both the certificate and `m`. The certificate is verified before it is
     returned.
     """
-    inc = instance_incidence(instance)
+    inc = build_incidence(instance.points, instance.family)
     basis = kernel_basis(inc.matrix)
     if not basis:
         return NIClassification("interpolable")
@@ -283,13 +276,13 @@ def hypercube_path(
             # one Fraction per distinct coordinate value
             columns = list(zip(*numerators))
             axes = [{n: Fraction(n, m) for n in set(column)} for column, m in zip(columns, dens)]
-            coords = (tuple(axis[n] for axis, n in zip(axes, point)) for point in numerators)
-            points = PointSet(tuple(Point(k + 1, c) for k, c in enumerate(coords)))
+            coords = [tuple(axis[n] for axis, n in zip(axes, point)) for point in numerators]
+            points = coordinate_points(coords)
             lam = tuple((_ONE, -_ONE)[sum(eps) % 2] for eps in epsilons)
             instance = _tabulate(directions, points, columns, dens)
             path = HypercubePath(center_vec, offsets, epsilons, instance, lam)
             # nonzero signs that annihilate every level class: a closed path
-            verify_certificate(instance_incidence(instance), path.certificate())
+            verify_certificate(build_incidence(points, instance.family), path.certificate())
             return path
     raise InternalInvariantError("could not separate the hypercube points")  # pragma: no cover
 
@@ -299,13 +292,12 @@ ExampleKind = Literal["parallel-lines", "zigzag", "staircase", "transversal-curv
 
 @dataclass(frozen=True)
 class GeneratedExample:
-    """A generated point configuration plus the machine check that it carries
-    no closed paths. `note` records whether path-freeness was verified on the
-    emitted sample only (infinite configurations) or on the whole set."""
+    """A generated point configuration that carries no closed paths. `note`
+    records whether path-freeness was verified on the emitted sample only
+    (infinite configurations) or on the whole set."""
 
     kind: str
     instance: RidgeInstance
-    path_free: bool
     note: str
 
 
@@ -355,6 +347,9 @@ class TransversalCurveParams:
     step: Fraction = _ONE
 
 
+Sample = tuple[tuple[Direction, ...], list[tuple[Fraction, ...]]]  # directions, point coordinates
+
+
 def generate_pathfree_example(
     kind: ExampleKind,
     params: ParallelLinesParams | ZigzagParams | StaircaseParams | TransversalCurveParams,
@@ -362,28 +357,63 @@ def generate_pathfree_example(
     """Emit a sample of the named configuration and confirm it is path-free.
 
     Defining constraints are validated before emission and a ConstraintError
-    names any violated clause. The emitted sample is always re-checked with
-    detect; a failure of that check is an internal error.
+    names any violated clause; for every kind the sample points must be
+    distinct. The emitted sample is always re-checked with detect; a failure
+    of that check is an internal error.
     """
-    builders = {
-        "parallel-lines": _build_parallel_lines,
-        "zigzag": _build_zigzag,
-        "staircase": _build_staircase,
-        "transversal-curve": _build_transversal_curve,
+    kinds = {  # kind -> (sample builder, check of the tabulated sample, note)
+        "parallel-lines": (
+            _build_parallel_lines,
+            None,
+            "path-freeness verified on the emitted sample; the full lines are asserted",
+        ),
+        "zigzag": (
+            _build_zigzag,
+            None,
+            "path-freeness verified on the emitted sample; the full zigzag is asserted",
+        ),
+        "staircase": (
+            _build_staircase,
+            _validate_staircase_chain,
+            "path-freeness verified on the whole configuration",
+        ),
+        "transversal-curve": (
+            _build_transversal_curve,
+            _validate_transversal_condition,
+            "transversality and path-freeness verified on the emitted sample only",
+        ),
     }
-    if kind not in builders:
+    if kind not in kinds:
         raise InputValidationError(f"unknown example kind {kind!r}")
-    instance, note = builders[kind](params)
-    inc = instance_incidence(instance)
+    build, check, note = kinds[kind]
+    directions, coords = build(params)
+    if len(set(coords)) != len(coords):
+        raise ConstraintError(f"{kind} sample points collide: distinct parameters must give distinct points")
+    instance = ridge_instance(directions, coordinate_points(coords))
+    if check is not None:
+        check(instance)
+    inc = build_incidence(instance.points, instance.family)
     if detect(inc) is not None:  # pragma: no cover - the constructions forbid this
         raise InternalInvariantError(f"generated {kind} sample contains a closed path")
-    return GeneratedExample(kind, instance, True, note)
+    return GeneratedExample(kind, instance, note)
 
 
-def _build_parallel_lines(params: ParallelLinesParams) -> tuple[RidgeInstance, str]:
+def _parameters(count: int, start: Fraction, step: Fraction) -> list[Fraction]:
+    """The sample parameters start, start + step, ..., count of them."""
+    if count < 0:
+        raise ConstraintError("sample count must be nonnegative")
+    return [start + k * step for k in range(count)]
+
+
+def _build_parallel_lines(params: ParallelLinesParams) -> Sample:
+    d = _dimension(params.directions)
     if len(params.directions) != 2:
         raise ConstraintError("parallel-lines requires exactly two directions")
     w = params.line_direction
+    bases = (params.base_first, params.base_second)
+    for name, vec in zip(("line direction", "first base", "second base"), (w, *bases)):
+        if len(vec) != d:
+            raise InputValidationError(f"{name} has dimension {len(vec)}, directions have {d}")
     if all(x == 0 for x in w):
         raise ConstraintError("line direction must be nonzero")
     for idx, dirn in enumerate(params.directions):
@@ -392,17 +422,11 @@ def _build_parallel_lines(params: ParallelLinesParams) -> tuple[RidgeInstance, s
                 f"line is perpendicular to direction {idx}: the level sets of that "
                 "direction contain whole line segments"
             )
-    gap = tuple(b - a for a, b in zip(params.base_first, params.base_second))
+    gap = tuple(b - a for a, b in zip(*bases))
     if all(x == 0 for x in gap) or _parallel(w, gap):
         raise ConstraintError("the two base points lie on one line; the lines coincide")
-    coords = []
-    for base in (params.base_first, params.base_second):
-        for k in range(params.samples_per_line):
-            t = params.start + k * params.step
-            coords.append(tuple(b + t * c for b, c in zip(base, w)))
-    points = PointSet(tuple(Point(k + 1, c) for k, c in enumerate(coords)))
-    instance = ridge_instance(params.directions, points)
-    return instance, "path-freeness verified on the emitted sample; the full lines are asserted"
+    ts = _parameters(params.samples_per_line, params.start, params.step)
+    return tuple(params.directions), [tuple(b + t * c for b, c in zip(base, w)) for base in bases for t in ts]
 
 
 def triangle_wave(x: Fraction) -> Fraction:
@@ -415,28 +439,16 @@ def triangle_wave(x: Fraction) -> Fraction:
     return u - 4
 
 
-def _build_zigzag(params: ZigzagParams) -> tuple[RidgeInstance, str]:
-    dirs = (direction((1, 1)), direction((1, -1)))
-    if params.count < 0:
-        raise ConstraintError("sample count must be nonnegative")
-    if params.count and params.step == 0:
-        raise ConstraintError("step must be nonzero: repeated abscissas repeat points")
-    coords = []
-    for k in range(params.count):
-        x = params.start + k * params.step
-        coords.append((x, triangle_wave(x)))
-    points = PointSet(tuple(Point(k + 1, c) for k, c in enumerate(coords)))
-    instance = ridge_instance(dirs, points)
-    return instance, "path-freeness verified on the emitted sample; the full zigzag is asserted"
+def _build_zigzag(params: ZigzagParams) -> Sample:
+    coords = [(x, triangle_wave(x)) for x in _parameters(params.count, params.start, params.step)]
+    return (direction((1, 1)), direction((1, -1))), coords
 
 
-def _build_staircase(params: StaircaseParams) -> tuple[RidgeInstance, str]:
+def _build_staircase(params: StaircaseParams) -> Sample:
     directions = tuple(params.directions)
+    d = _dimension(directions)
     r = len(directions)
-    if r == 0:
-        raise ConstraintError("staircase requires at least one direction")
-    d = directions[0].dimension
-    matrix = RationalMatrix.from_rows([list(dirn.vector) for dirn in directions], cols=d)
+    matrix = RationalMatrix(r, d, [x for dirn in directions for x in dirn.vector])
     coords: list[tuple[Fraction, ...]] = [tuple([_ZERO] * d)]
     for k in range(r):
         rhs = [_ONE if i == k else _ZERO for i in range(r)]
@@ -447,19 +459,15 @@ def _build_staircase(params: StaircaseParams) -> tuple[RidgeInstance, str]:
                 f"direction {k} while staying on all the others"
             )
         coords.append(outcome.solution)
-    points = PointSet(tuple(Point(k + 1, c) for k, c in enumerate(coords)))
-    instance = ridge_instance(directions, points)
-    _validate_staircase_chain(instance)
-    return instance, "path-freeness verified on the whole configuration"
+    return directions, coords
 
 
 def _validate_staircase_chain(instance: RidgeInstance) -> None:
     """Check the defining chain: for each k, every point except the (k+1)-th
     shares the a_k value, and the (k+1)-th differs from it."""
     ids = instance.points.ids
-    r = len(instance.directions)
-    for k in range(r):
-        values = [instance.family.value_at(k, pid) for pid in ids]
+    for k, table in enumerate(instance.family.tables):
+        values = [table[pid] for pid in ids]
         others = [v for idx, v in enumerate(values) if idx != k + 1]
         if len(set(others)) != 1:
             raise ConstraintError(f"chain broken: direction {k} separates points other than {k + 1}")
@@ -474,27 +482,15 @@ def _poly_eval(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
     return acc
 
 
-def _build_transversal_curve(params: TransversalCurveParams) -> tuple[RidgeInstance, str]:
+def _build_transversal_curve(params: TransversalCurveParams) -> Sample:
     directions = tuple(params.directions)
-    if not directions:
-        raise ConstraintError("transversal-curve requires at least one direction")
-    d = directions[0].dimension
+    d = _dimension(directions)
     if len(params.coefficients) != d:
         raise ConstraintError(
             f"curve has {len(params.coefficients)} coordinate polynomials, directions have dimension {d}"
         )
-    if params.count and params.step == 0:
-        raise ConstraintError("step must be nonzero: repeated parameters repeat points")
-    coords = []
-    for k in range(params.count):
-        t = params.start + k * params.step
-        coords.append(tuple(_poly_eval(c, t) for c in params.coefficients))
-    if len(set(coords)) != len(coords):
-        raise ConstraintError("curve samples collide; distinct parameters must give distinct points")
-    points = PointSet(tuple(Point(k + 1, c) for k, c in enumerate(coords)))
-    instance = ridge_instance(directions, points)
-    _validate_transversal_condition(instance)
-    return instance, "transversality and path-freeness verified on the emitted sample only"
+    ts = _parameters(params.count, params.start, params.step)
+    return directions, [tuple(_poly_eval(c, t) for c in params.coefficients) for t in ts]
 
 
 def _validate_transversal_condition(instance: RidgeInstance) -> None:

@@ -9,7 +9,9 @@ of them). Keeping the criterion and the elimination code separate from the
 package is what makes the cross-checks in the test suite meaningful.
 
 `dense_rref`, `dense_kernel` and `dense_solve` are a plain dense Gauss-Jordan
-over Fraction, the reference the sparse elimination engine must match.
+over Fraction, the reference the sparse elimination engine must match;
+`dense_product` and `unit_l1` are the plain products and scalings that
+annihilation and normalization checks compare against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from linsuper import FunctionFamily, IncidenceMatrix, PointSet, abstract_points
+from linsuper import FunctionFamily, IncidenceMatrix, PointSet, RationalMatrix, abstract_points
 
 
 def integer_rows(inc: IncidenceMatrix) -> list[list[int]]:
@@ -99,7 +101,7 @@ def random_superposition(
     for table in ff.tables:
         outer.append({v: Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for v in set(table.values())})
     return {
-        pid: sum(outer[i][ff.value_at(i, pid)] for i in range(ff.r))
+        pid: sum(outer[i][table[pid]] for i, table in enumerate(ff.tables))
         for pid in ps.ids
     }
 
@@ -155,3 +157,16 @@ def dense_solve(rows: list[list[Fraction]], b: list[Fraction], cols: int):
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][cols]
     return tuple(x), None, len(pivots)
+
+
+def dense_product(m: RationalMatrix, v) -> tuple[Fraction, ...]:
+    """m . v, one dense row at a time."""
+    return tuple(sum((x * y for x, y in zip(m.row(i), v)), Fraction(0)) for i in range(m.rows))
+
+
+def unit_l1(vec) -> tuple[Fraction, ...]:
+    """vec scaled so its absolute values sum to 1 and its first nonzero entry is positive."""
+    total = sum(abs(Fraction(x)) for x in vec)
+    if next(x for x in vec if x) < 0:
+        total = -total
+    return tuple(Fraction(x) / total for x in vec)

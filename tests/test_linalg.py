@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from linsuper import (
+    FunctionFamily,
     RationalMatrix,
+    abstract_points,
     build_incidence,
     classify_ni,
     coordinate_points,
@@ -14,24 +15,27 @@ from linsuper import (
     direction,
     dot,
     enumerate_minimal,
-    instance_incidence,
     integer_primitive,
     is_representable,
     kernel_basis,
-    l1_normalized,
     rank,
     ridge_instance,
     rref,
     solve,
 )
 from examples import broken_line
-from oracles import dense_kernel, dense_rref, dense_solve, random_instance, random_table
+from oracles import dense_kernel, dense_product, dense_rref, dense_solve, random_instance, random_table
 
 F = Fraction
 
 
 def M(rows, cols=None):
-    return RationalMatrix.from_rows([[F(x) for x in row] for row in rows], cols=cols)
+    rows = [list(row) for row in rows]
+    cols = len(rows[0]) if cols is None else cols
+    return RationalMatrix(len(rows), cols, [F(x) for row in rows for x in row])
+
+
+IDENTITY_3 = M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
@@ -52,9 +56,8 @@ def test_rref_rank_one():
 
 
 def test_rref_identity():
-    ident = RationalMatrix.identity(3)
-    reduced, pivots = rref(ident)
-    assert reduced == ident
+    reduced, pivots = rref(IDENTITY_3)
+    assert reduced == IDENTITY_3
     assert pivots == (0, 1, 2)
 
 
@@ -75,7 +78,7 @@ def test_rref_idempotent(m):
 @given(matrices())
 def test_kernel_vectors_annihilate(m):
     for vec in kernel_basis(m):
-        assert all(x == 0 for x in m.mul_vector(vec))
+        assert all(x == 0 for x in dense_product(m, vec))
 
 
 @given(matrices())
@@ -88,13 +91,13 @@ def test_row_scaling_does_not_change_rref_or_kernel(m, row_idx, scale):
     row_idx %= m.rows
     rows = [list(m.row(i)) for i in range(m.rows)]
     rows[row_idx] = [scale * x for x in rows[row_idx]]
-    scaled = RationalMatrix.from_rows(rows, cols=m.cols)
+    scaled = M(rows, m.cols)
     assert rref(scaled) == rref(m)
     assert kernel_basis(scaled) == kernel_basis(m)
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(RationalMatrix.identity(2)) == []
+    assert kernel_basis(M([[1, 0], [0, 1]])) == []
 
 
 def test_kernel_one_row():
@@ -112,7 +115,7 @@ def test_kernel_vectors_are_integer_primitive():
 
 def test_solve_identity():
     b = (F(3), F(-2))
-    result = solve(RationalMatrix.identity(2), b)
+    result = solve(M([[1, 0], [0, 1]]), b)
     assert result.solution == b
 
 
@@ -135,14 +138,12 @@ def test_solve_agrees_with_rank_criterion(m, data):
     b = tuple(
         data.draw(st.lists(rationals, min_size=m.rows, max_size=m.rows), label="b")
     )
-    augmented = RationalMatrix.from_rows(
-        [list(m.row(i)) + [b[i]] for i in range(m.rows)], cols=m.cols + 1
-    )
+    augmented = M([list(m.row(i)) + [b[i]] for i in range(m.rows)], m.cols + 1)
     solvable = rank(augmented) == rank(m)
     result = solve(m, b)
     if solvable:
         assert result.solution is not None
-        assert m.mul_vector(result.solution) == b
+        assert dense_product(m, result.solution) == b
     else:
         assert result.solution is None
 
@@ -150,14 +151,6 @@ def test_solve_agrees_with_rank_criterion(m, data):
 def test_integer_primitive_scales_and_signs():
     assert integer_primitive((F(-2, 3), F(4, 3))) == (F(1), F(-2))
     assert integer_primitive((F(0), F(0))) == (F(0), F(0))
-
-
-def test_l1_normalized():
-    vec = l1_normalized((F(-2), F(1), F(1), F(1), F(-1)))
-    assert sum(abs(x) for x in vec) == 1
-    assert vec[0] > 0
-    with pytest.raises(ValueError):
-        l1_normalized((F(0),))
 
 
 def test_dot_and_transpose():
@@ -197,7 +190,7 @@ def assert_engine_matches_reference(m, b):
     reference, ref_pivots = dense_rref(rows, m.cols)
     reduced, pivots = rref(m)
     assert pivots == ref_pivots
-    assert reduced == RationalMatrix.from_rows(reference, cols=m.cols)
+    assert reduced == M(reference, m.cols)
     assert rank(m) == len(ref_pivots)
     assert kernel_basis(m) == dense_kernel(rows, m.cols)
     result = solve(m, b)
@@ -298,7 +291,7 @@ def test_library_reaches_the_traced_linalg_names(monkeypatch):
 
     points = coordinate_points([(F(x), F(y)) for x in range(3) for y in range(3)])
     instance = ridge_instance([direction((1, 0)), direction((0, 1))], points)
-    inc = instance_incidence(instance)
+    inc = build_incidence(points, instance.family)
     member = {p.id: p.coords[0] + p.coords[1] for p in points.points}
     nonmember = {**member, points.ids[0]: F(7)}
 
@@ -344,10 +337,6 @@ def test_storage_round_trips_entries(table):
     assert all(type(x) is Fraction for x in m.entries)
     for i in range(rows):
         assert m.row(i) == tuple(flat[i * cols : (i + 1) * cols])
-        for j in range(cols):
-            assert m.at(i, j) == flat[i * cols + j]
-    dense = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
-    assert RationalMatrix.from_rows(dense, cols=cols) == m
 
 
 @given(dense_tables(), st.data())
@@ -358,8 +347,6 @@ def test_views_match_dense_computation(table, data):
     assert m.transpose().entries == tuple(dense[i][j] for j in range(cols) for i in range(rows))
     keep = data.draw(st.lists(st.integers(0, cols - 1), max_size=6), label="keep") if cols else []
     assert m.restrict_columns(keep).entries == tuple(row[j] for row in dense for j in keep)
-    v = data.draw(st.lists(sparse_rationals, min_size=cols, max_size=cols), label="v")
-    assert m.mul_vector(v) == tuple(sum(x * y for x, y in zip(row, v)) for row in dense)
 
 
 @given(dense_tables(), st.lists(rationals, min_size=5, max_size=5))
@@ -369,9 +356,9 @@ def test_equal_matrices_compare_and_hash_equal(table, extra):
     dense = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
     as_ints = [[int(x) if F(x).denominator == 1 else F(x) for x in row] for row in dense]
     # a dropped column can leave a row's denominator with a common factor
-    widened = RationalMatrix.from_rows([row + [extra[i]] for i, row in enumerate(dense)], cols=cols + 1)
+    widened = M([row + [extra[i]] for i, row in enumerate(dense)], cols + 1)
     same = [
-        RationalMatrix.from_rows(as_ints, cols=cols),
+        RationalMatrix(rows, cols, [x for row in as_ints for x in row]),
         m.transpose().transpose(),
         m.restrict_columns(list(range(cols))),
         widened.restrict_columns(list(range(cols))),
@@ -389,5 +376,8 @@ def test_reduced_and_identity_storage_equal_direct_construction():
     reduced, _ = rref(M([[2, 4, 6], [1, 2, 4]]))
     assert reduced == M([[1, 2, 0], [0, 0, 1]])
     assert hash(reduced) == hash(M([[1, 2, 0], [0, 0, 1]]))
-    assert RationalMatrix.identity(3) == M([[1, 0, 0], [0, F(2, 2), 0], [0, 0, 1]])
-    assert hash(RationalMatrix.identity(3)) == hash(M([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    # one function with three distinct values: its incidence matrix is the 0/1 identity
+    family = FunctionFamily(({1: F(0), 2: F(1), 3: F(2)},))
+    identity = build_incidence(abstract_points([1, 2, 3]), family).matrix
+    assert identity == M([[1, 0, 0], [0, F(2, 2), 0], [0, 0, 1]])
+    assert hash(identity) == hash(IDENTITY_3)

@@ -17,7 +17,7 @@ from linsuper import (
 )
 
 from examples import broken_line, five_point_path, simplex_corners
-from oracles import random_instance, random_superposition, random_table
+from oracles import dense_product, random_instance, random_superposition, random_table
 from permissibility import verify_permissible_implication
 
 F = Fraction
@@ -160,7 +160,7 @@ def test_violation_is_a_kernel_vector(inc5):
     result = is_representable(inc5, witness.f0)
     table = result.violation.as_table()
     vec = [table.get(pid, F(0)) for pid in inc5.point_ids]
-    assert all(x == 0 for x in inc5.matrix.mul_vector(vec))
+    assert all(x == 0 for x in dense_product(inc5.matrix, vec))
 
 
 def test_missing_point_is_rejected(inc5):

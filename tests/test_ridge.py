@@ -11,6 +11,7 @@ from linsuper import (
     StaircaseParams,
     TransversalCurveParams,
     ZigzagParams,
+    build_incidence,
     classify_ni,
     coordinate_points,
     detect,
@@ -18,7 +19,6 @@ from linsuper import (
     dot,
     generate_pathfree_example,
     hypercube_path,
-    instance_incidence,
     is_closed_path,
     is_representable,
     make_witness,
@@ -26,7 +26,7 @@ from linsuper import (
     triangle_wave,
 )
 
-from oracles import integer_rows, oracle_minimal_paths
+from oracles import dense_product, integer_rows, oracle_minimal_paths
 
 F = Fraction
 
@@ -83,7 +83,7 @@ def test_classify_ni_agrees_with_the_oracle():
         instance = ridge_instance(
             [direction(d) for d in dirs], coordinate_points([(F(x), F(y)) for x, y in coords])
         )
-        inc = instance_incidence(instance)
+        inc = build_incidence(instance.points, instance.family)
         verdict = classify_ni(instance)
         minimal = oracle_minimal_paths(inc)
         assert (verdict.kind == "interpolable") == (not minimal)
@@ -99,8 +99,8 @@ def test_classify_ni_agrees_with_the_oracle():
 def test_hypercube_square_from_diagonals():
     path = hypercube_path([direction((1, 1)), direction((1, -1))], (0, 0), 1)
     assert path.lam == (F(1), F(-1), F(-1), F(1))
-    inc = instance_incidence(path.instance)
-    assert all(x == 0 for x in inc.matrix.mul_vector(path.lam))
+    inc = build_incidence(path.instance.points, path.instance.family)
+    assert all(x == 0 for x in dense_product(inc.matrix, path.lam))
 
 
 def test_hypercube_single_direction_two_points():
@@ -118,7 +118,7 @@ def test_hypercube_three_directions_in_plane():
     dirs = [direction((1, 0)), direction((0, 1)), direction((1, 1))]
     path = hypercube_path(dirs, (0, 0), F(1, 8))
     assert len(path.instance.points) == 8
-    inc = instance_incidence(path.instance)
+    inc = build_incidence(path.instance.points, path.instance.family)
     assert is_closed_path(inc, inc.point_ids) is not None
     assert sum(path.lam) == 0
 
@@ -160,7 +160,7 @@ def test_hypercube_interior_points_defeat_representability():
             continue  # parallel plane directions: no pairwise independent offsets
         for p in path.instance.points.points:
             assert all(abs(c - y) < box for c, y in zip(p.coords, center))
-        inc = instance_incidence(path.instance)
+        inc = build_incidence(path.instance.points, path.instance.family)
         witness = make_witness(path.certificate(), path.instance.points)
         assert not is_representable(inc, witness.f0).representable
 
@@ -241,7 +241,7 @@ def test_ridge_values_match_reversed_accumulation():
             backwards = F(0)
             for a, x in zip(reversed(dirn.vector), reversed(p.coords)):
                 backwards += a * x
-            assert instance.family.value_at(i, p.id) == backwards
+            assert instance.family.tables[i][p.id] == backwards
 
 
 def test_classification_invariant_under_direction_scaling():
@@ -286,7 +286,7 @@ def test_classification_invariant_under_affine_change():
         # a' . (m x) = a . x for every x
         from linsuper import RationalMatrix, solve
 
-        mm = RationalMatrix.from_rows(m, cols=d)
+        mm = RationalMatrix(d, d, [x for row in m for x in row])
         new_dirs = []
         for dirn in base.directions:
             outcome = solve(mm.transpose(), list(dirn.vector))
@@ -306,9 +306,8 @@ def test_parallel_lines_default_is_pathfree():
         samples_per_line=6,
     )
     example = generate_pathfree_example("parallel-lines", params)
-    assert example.path_free
     assert len(example.instance.points) == 12
-    assert detect(instance_incidence(example.instance)) is None
+    assert detect(build_incidence(example.instance.points, example.instance.family)) is None
 
 
 def test_parallel_lines_rejects_perpendicular_line():
@@ -353,7 +352,7 @@ def test_triangle_wave_shape():
 def test_zigzag_sample_is_pathfree():
     example = generate_pathfree_example("zigzag", ZigzagParams(count=24, step=F(1, 2)))
     assert len(example.instance.points) == 24
-    assert detect(instance_incidence(example.instance)) is None
+    assert detect(build_incidence(example.instance.points, example.instance.family)) is None
 
 
 def test_zigzag_empty_sample():
@@ -379,7 +378,7 @@ def test_staircase_generic_directions():
     dirs = (direction((1, 2, 0)), direction((0, 1, 1)), direction((1, 0, 1)))
     example = generate_pathfree_example("staircase", StaircaseParams(dirs))
     assert len(example.instance.points) == 4
-    assert detect(instance_incidence(example.instance)) is None
+    assert detect(build_incidence(example.instance.points, example.instance.family)) is None
 
 
 def test_staircase_rejects_dependent_directions():
@@ -395,7 +394,7 @@ def test_transversal_line_is_pathfree():
         count=9,
     )
     example = generate_pathfree_example("transversal-curve", params)
-    assert detect(instance_incidence(example.instance)) is None
+    assert detect(build_incidence(example.instance.points, example.instance.family)) is None
     assert "sample only" in example.note
 
 
@@ -458,7 +457,7 @@ cube_components = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 3), F
 )))
 def test_hypercube_instance_is_the_ridge_instance_of_its_points(drawn):
     # hypercube_path tabulates its integer coordinates without going through
-    # ridge_instance; the tables and provenance must be the same
+    # ridge_instance; the tables must be the same
     vectors, center, scale = drawn
     dirs = [direction(v) for v in vectors]
     try:
@@ -467,5 +466,4 @@ def test_hypercube_instance_is_the_ridge_instance_of_its_points(drawn):
         assume(False)  # parallel plane directions leave a single orthogonal line
     expected = ridge_instance(dirs, path.instance.points)
     assert path.instance.family.tables == expected.family.tables
-    assert path.instance.family.provenance == expected.family.provenance
     assert path.instance == expected
