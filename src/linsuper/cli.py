@@ -421,27 +421,41 @@ def _directions(text: str) -> tuple[Direction, ...]:
     return tuple(direction(v) for v in _parse_vectors(text))
 
 
+_SAMPLED = {"samples": 8, "start": "0", "step": "1"}
+# generate kind -> the flags it reads, by argparse dest, with their defaults
+_GENERATE_FLAGS: dict[str, dict[str, Any]] = {
+    "parallel-lines": {"directions": "1,0;0,1", "line_direction": "1,1", "base1": "0,0", "base2": "0,1", **_SAMPLED},
+    "zigzag": _SAMPLED,
+    "staircase": {"directions": None, "dimension": 3},
+    "transversal-curve": {"directions": "1,0;0,1", "coefficients": "0,1;1,2", **_SAMPLED},
+}
+
+
 def _generate(args: argparse.Namespace) -> Outcome:
+    """Build the sample from the flags its kind reads; any other flag given exits 2."""
     kind = args.kind
+    reads = _GENERATE_FLAGS[kind]
+    given = {d for flags in _GENERATE_FLAGS.values() for d in flags if getattr(args, d) is not None}
+    unread = sorted(given - reads.keys())
+    if unread:
+        flags = ["--" + d.replace("_", "-") for d in (unread[0], *reads)]
+        raise InputValidationError(f"{flags[0]} does not apply to kind {kind}, which reads {', '.join(flags[1:])}")
+    vars(args).update({d: default for d, default in reads.items() if d not in given})
     params: Any
     if kind == "zigzag":
-        if args.directions is not None:
-            raise InputValidationError(
-                "--directions does not apply to kind zigzag: its directions are (1,1) and (1,-1)"
-            )
-        params = ZigzagParams(
-            count=args.samples, start=parse_rational(args.start), step=parse_rational(args.step)
-        )
+        params = ZigzagParams(count=args.samples, start=parse_rational(args.start), step=parse_rational(args.step))
     elif kind == "staircase":
         if args.directions:
             directions = _directions(args.directions)
+            if "dimension" in given and {d.dimension for d in directions} != {args.dimension}:
+                raise InputValidationError(f"--dimension {args.dimension} does not match the dimension of --directions")
         else:
             d = args.dimension
             directions = tuple(direction([1 if i == k else 0 for i in range(d)]) for k in range(d))
         params = StaircaseParams(directions)
     elif kind == "parallel-lines":
         params = ParallelLinesParams(
-            directions=_directions(args.directions or "1,0;0,1"),
+            directions=_directions(args.directions),
             line_direction=_vector(args.line_direction),
             base_first=_vector(args.base1),
             base_second=_vector(args.base2),
@@ -451,7 +465,7 @@ def _generate(args: argparse.Namespace) -> Outcome:
         )
     else:  # transversal-curve: argparse allows no other kind
         params = TransversalCurveParams(
-            directions=_directions(args.directions or "1,0;0,1"),
+            directions=_directions(args.directions),
             coefficients=tuple(_parse_vectors(args.coefficients)),
             count=args.samples,
             start=parse_rational(args.start),
@@ -578,15 +592,16 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["parallel-lines", "zigzag", "staircase", "transversal-curve"],
     )
-    p_gen.add_argument("--directions", default=None, help='e.g. "1,0;0,1"')
-    p_gen.add_argument("--dimension", type=int, default=3, help="staircase: use basis directions of this dimension")
-    p_gen.add_argument("--line-direction", default="1,1", dest="line_direction")
-    p_gen.add_argument("--base1", default="0,0")
-    p_gen.add_argument("--base2", default="0,1")
-    p_gen.add_argument("--coefficients", default="0,1;1,2", help='curve polynomials, e.g. "0,1;1,2"')
-    p_gen.add_argument("--samples", type=int, default=8)
-    p_gen.add_argument("--start", default="0")
-    p_gen.add_argument("--step", default="1")
+    # no defaults: _generate applies those of the kind and rejects the flags it never reads
+    p_gen.add_argument("--directions", help='e.g. "1,0;0,1"')
+    p_gen.add_argument("--dimension", type=int, help="staircase: use basis directions of this dimension (default 3)")
+    p_gen.add_argument("--line-direction", dest="line_direction")
+    p_gen.add_argument("--base1")
+    p_gen.add_argument("--base2")
+    p_gen.add_argument("--coefficients", help='curve polynomials, e.g. "0,1;1,2"')
+    p_gen.add_argument("--samples", type=int)
+    p_gen.add_argument("--start")
+    p_gen.add_argument("--step")
     p_gen.add_argument(
         "--emit-instance", dest="emit_instance", metavar="PATH",
         help="write the generated sample as an instance file",

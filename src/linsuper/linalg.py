@@ -9,8 +9,10 @@ clears each below its pivot row, then one back-substitution from the last
 pivot up clears the rest above. The reduced row echelon form is unique, so
 neither that order nor the choice of pivot rows can change what `rref`
 returns. Kernel, rank and solve are read off its reduced integer rows. A
-Fraction is formed only where a value is handed out: the entries of a
-matrix, kernel vectors and solutions.
+kernel basis is read lazily: its vectors are formed when asked for, and the
+library reads them as sparse integer pairs. A Fraction is formed only where
+a value is handed out: the entries of a matrix, dense kernel vectors and
+solutions.
 """
 
 from __future__ import annotations
@@ -228,13 +230,51 @@ def integer_primitive(vec: Iterable[Fraction]) -> Vector:
     return _dense(len(items), ((j, _fraction(n // g)) for j, n in nums.items()))
 
 
-def kernel_basis(m: RationalMatrix) -> list[Vector]:
+class KernelBasis(Sequence[Vector]):
+    """Lazy, read-only kernel basis that equals the list of its vectors.
+
+    Vector k is read off the reduced rows only when it is indexed or
+    iterated, or as integer pairs by `_pairs(k)`.
+    """
+
+    __slots__ = ("_cols", "_free", "_by_free")
+
+    def __init__(self, cols: int, free: list[int], by_free: dict[int, list[tuple[int, int, int]]]) -> None:
+        self._cols, self._free, self._by_free = cols, free, by_free
+
+    def __len__(self) -> int:
+        return len(self._free)
+
+    def __getitem__(self, k: int) -> Vector:
+        return _dense(self._cols, ((j, _fraction(n)) for j, n in self._pairs(k)))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._free)))
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == list(other) if isinstance(other, (KernelBasis, list, tuple)) else NotImplemented
+
+    def _pairs(self, k: int) -> list[tuple[int, int]]:
+        """Vector k as ascending (column, nonzero integer) pairs."""
+        fc = self._free[k]
+        terms = self._by_free.get(fc, ())
+        # v[pc] = -n/d, scaled by the lcm of the reduced denominators, of
+        # which the integer rows need no gcd; every pivot column of the
+        # terms lies below fc, and the lowest holds the first nonzero entry
+        scale = lcm(*(d // gcd(n, d) for _, n, d in terms if d != 1))
+        if terms and terms[0][1] > 0:
+            scale = -scale
+        return [*((pc, -n * scale // d) for pc, n, d in terms), (fc, scale)]
+
+
+def kernel_basis(m: RationalMatrix) -> KernelBasis:
     """Basis of the right kernel {v : m.v = 0}, one vector per free column.
 
     Each basis vector is the canonical free-variable vector of the reduced
     echelon form (the chosen free variable set to 1, the others to 0),
     scaled to integer entries with content 1 and first nonzero entry
-    positive. The list is ordered by free column.
+    positive. The basis is ordered by free column, and its vectors are
+    formed only when read.
     """
     reduced, pivots = rref(m)
     # free column -> its reduced entries n/d as (pivot column, n, d), by pivot column
@@ -243,18 +283,7 @@ def kernel_basis(m: RationalMatrix) -> list[Vector]:
         for j, n in nums.items():
             if j != pc:
                 by_free.setdefault(j, []).append((pc, n, den))
-    basis: list[Vector] = []
-    for fc in sorted(set(range(m.cols)) - set(pivots)):
-        terms = by_free.get(fc, ())
-        # v[pc] = -n/d, scaled by the lcm of the reduced denominators, of
-        # which the integer rows need no gcd; the lowest pivot column holds
-        # the first nonzero entry
-        scale = lcm(*(d // gcd(n, d) for _, n, d in terms if d != 1))
-        if terms and terms[0][1] > 0:
-            scale = -scale
-        entries = [(pc, _fraction(-n * scale // d)) for pc, n, d in terms]
-        basis.append(_dense(m.cols, [(fc, _fraction(scale)), *entries]))
-    return basis
+    return KernelBasis(m.cols, sorted(set(range(m.cols)).difference(pivots)), by_free)
 
 
 @dataclass(frozen=True)

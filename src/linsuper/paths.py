@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import ContractViolationError, InputValidationError, InternalInvariantError
-from .linalg import _ONE, _ZERO, Vector, _fraction, integer_primitive, kernel_basis
+from .linalg import _ZERO, Vector, _fraction, integer_primitive, kernel_basis
 from .model import IncidenceMatrix
 
 
@@ -118,37 +118,37 @@ def detect(inc: IncidenceMatrix) -> ClosedPathCertificate | None:
     basis = kernel_basis(inc.matrix)
     if not basis:
         return None
-    return certificate_from_kernel_vector(inc, basis[0])
+    return certificate_from_kernel_vector(inc, basis[0])  # the one vector read densely
 
 
-def _circuit(point_ids: Sequence[int], vec: Vector) -> ClosedPathCertificate:
+def _circuit(point_ids: Sequence[int], pairs: list[tuple[int, int]]) -> ClosedPathCertificate:
     """The normalized minimal certificate on the support of a circuit vector.
 
     Every canonical kernel vector is one: it is supported on its free column
-    f and on independent pivot columns (the fundamental circuit of f). Its
-    entries are integers, the first nonzero one positive, and its zeros the
-    shared _ZERO, as `kernel_basis` builds them.
+    f and on independent pivot columns (the fundamental circuit of f). It
+    comes as the ascending (column, integer) pairs of `KernelBasis._pairs`,
+    the first value positive.
     """
-    pairs = [(pid, x.numerator) for pid, x in zip(point_ids, vec) if x is not _ZERO]
     total = sum(abs(n) for _, n in pairs)
     lam = {n: Fraction(n, total) for n in {n for _, n in pairs}}  # one Fraction per distinct coefficient
-    return ClosedPathCertificate(tuple(pid for pid, _ in pairs), tuple(lam[n] for _, n in pairs), True, True)
+    return ClosedPathCertificate(tuple(point_ids[j] for j, _ in pairs), tuple(lam[n] for _, n in pairs), True, True)
 
 
-def _closed_kernel(inc: IncidenceMatrix, support: Iterable[int]) -> tuple[tuple[int, ...], list[Vector]]:
-    """The support in column order and its restricted kernel basis.
+def _closed_kernel(inc: IncidenceMatrix, support: Iterable[int]) -> tuple[tuple[int, ...], list[list[tuple[int, int]]]]:
+    """The support in column order and its restricted kernel basis, as pairs.
 
-    Raises ContractViolationError unless the support is a closed path,
-    i.e. unless some kernel vector has full support: a coordinate that
+    Raises ContractViolationError unless the support is a closed path, i.e.
+    unless the supports of the basis vectors cover it: a coordinate that
     vanishes on every basis vector vanishes on the whole span.
     """
     ordered = inc.sorted_support(support)
     if not ordered:
         raise InputValidationError("support must be nonempty")
     basis = kernel_basis(inc.restricted(ordered))
-    if not basis or not all(map(any, zip(*basis))):
+    vectors = [basis._pairs(k) for k in range(len(basis))]
+    if len({j for vec in vectors for j, _ in vec}) < len(ordered):
         raise ContractViolationError(f"support {ordered} is not a closed path (no full-support kernel vector)")
-    return ordered, basis
+    return ordered, vectors
 
 
 def is_closed_path(inc: IncidenceMatrix, support: Iterable[int]) -> Vector | None:
@@ -167,12 +167,11 @@ def is_closed_path(inc: IncidenceMatrix, support: Iterable[int]) -> Vector | Non
         return None
     size, k = len(ordered), len(basis)
     for b in range(size + 1, size + 2 + size * (k - 1)):
-        combo = [_ZERO] * size
-        weight = _ONE
+        combo = [0] * size
+        weight = 1
         for vec in basis:
-            for j, x in enumerate(vec):
-                if x:
-                    combo[j] += weight * x
+            for j, n in vec:
+                combo[j] += weight * n
             weight *= b
         if all(combo):
             return integer_primitive(combo)
@@ -290,7 +289,8 @@ def enumerate_minimal(
         raise InputValidationError(f"unknown enumeration mode {mode!r}")
     if mode == "fundamental":
         # distinct: each support holds its own free column and no other one
-        certs = [_circuit(inc.point_ids, vec) for vec in kernel_basis(inc.matrix)]
+        basis = kernel_basis(inc.matrix)
+        certs = [_circuit(inc.point_ids, basis._pairs(k)) for k in range(len(basis))]
         return sorted(certs, key=lambda cert: (len(cert.support), cert.support))
     if max_support is None or max_support < 2:
         raise InputValidationError("exhaustive enumeration needs max_support >= 2")
@@ -306,9 +306,10 @@ def enumerate_minimal(
                 continue
             # candidate was independent before j, so the kernel is a line and
             # its generator's support is the unique circuit through j.
-            circuit = tuple(c for c, x in zip(candidate, basis[0]) if x)
+            pairs = basis._pairs(0)
+            circuit = tuple(candidate[c] for c, _ in pairs)
             if circuit not in found:
-                found[circuit] = _circuit([inc.point_ids[c] for c in candidate], basis[0])
+                found[circuit] = _circuit([inc.point_ids[c] for c in candidate], pairs)
 
     visit([], 0)
     return sorted(found.values(), key=lambda cert: (len(cert.support), cert.support))

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import InputValidationError, InternalInvariantError
-from .linalg import _ONE, _ZERO, _row, dot, kernel_basis, solve
+from .linalg import _ONE, _ZERO, _row, kernel_basis, solve
 from .model import IncidenceMatrix, PointSet
 from .paths import ClosedPathCertificate, certificate_from_kernel_vector, evaluate_certificate
 
@@ -68,9 +67,7 @@ def is_representable(inc: IncidenceMatrix, f: FunctionTable) -> RepresentationRe
     """
     values = _column_values(inc, f)
     outcome = solve(inc.matrix.transpose(), values)
-    ratios = [x.as_integer_ratio() for x in values]
-    fden = lcm(*(d for _, d in ratios))
-    fnums = [n * (fden // d) for n, d in ratios]  # f = fnums / fden in integers
+    fden, fnums = _row(values)  # f = fnums / fden in integers, zeros left out
     if outcome.solution is not None:
         g = outcome.solution
         tables: tuple[dict[Fraction, Fraction], ...] = tuple(
@@ -85,15 +82,17 @@ def is_representable(inc: IncidenceMatrix, f: FunctionTable) -> RepresentationRe
                 for pid in cls.members:
                     sums[pid] += n
         for j, (pid, total) in enumerate(sums.items()):
-            if total * fden != fnums[j] * gden:  # pragma: no cover - solve is exact
+            if total * fden != fnums.get(j, 0) * gden:  # pragma: no cover - solve is exact
                 raise InternalInvariantError(f"reconstruction differs from f at point {pid}")
         reconstruction = dict(zip(inc.point_ids, values))  # equal to f, as just checked
         freedom = len(inc.classes) - outcome.rank
         return RepresentationResult(True, decomposition=Decomposition(tables, freedom, reconstruction))
-    for vec in kernel_basis(inc.matrix):  # integer vectors, so vec . f = total / fden
-        total = sum(x.numerator * n for x, n in zip(vec, fnums) if x is not _ZERO)
+    basis = kernel_basis(inc.matrix)
+    for k in range(len(basis)):  # integer vectors, so vec . f = total / fden
+        pairs = basis._pairs(k)
+        total = sum(n * fnums.get(j, 0) for j, n in pairs)
         if total:
-            cert = certificate_from_kernel_vector(inc, vec)
+            cert = certificate_from_kernel_vector(inc, basis[k])  # the one vector read densely
             return RepresentationResult(False, violation=cert, violation_value=Fraction(total, fden))
     raise InternalInvariantError(  # pragma: no cover - duality guarantees a violator
         "transpose solve failed but f is orthogonal to the kernel"
@@ -106,8 +105,9 @@ def representable_by_orthogonality(inc: IncidenceMatrix, f: FunctionTable) -> bo
     Independent of the solver route in is_representable; the two must agree
     on every input.
     """
-    values = _column_values(inc, f)
-    return all(dot(vec, values) == 0 for vec in kernel_basis(inc.matrix))
+    _, fnums = _row(_column_values(inc, f))
+    basis = kernel_basis(inc.matrix)
+    return not any(sum(n * fnums.get(j, 0) for j, n in basis._pairs(k)) for k in range(len(basis)))
 
 
 @dataclass(frozen=True)

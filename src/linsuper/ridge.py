@@ -134,8 +134,9 @@ def classify_ni(instance: RidgeInstance) -> NIClassification:
     if not basis:
         return NIClassification("interpolable")
     generator = basis[0]  # integer, content 1, first nonzero entry positive
-    if len(basis) == 1 and all(generator):
-        verdict = NIClassification("MNI", generator, _circuit(inc.point_ids, generator))
+    pairs = basis._pairs(0)
+    if len(basis) == 1 and len(pairs) == inc.n_points:
+        verdict = NIClassification("MNI", generator, _circuit(inc.point_ids, pairs))
     else:
         verdict = NIClassification("NI", generator, certificate_from_kernel_vector(inc, generator))
     verify_certificate(inc, verdict.certificate)

@@ -598,3 +598,47 @@ def test_generate_rejects_mismatched_dimensions(capsys, argv, message):
 def test_generate_zigzag_rejects_directions(capsys):
     assert main(["generate", "--kind", "zigzag", "--directions", "1,0;0,1"]) == 2
     assert "--directions does not apply to kind zigzag" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--kind", "zigzag", "--line-direction", "1,2,3", "--coefficients", "x"], "--coefficients"),
+        (["--kind", "staircase", "--samples", "-3", "--step", "0"], "--samples"),
+        (["--kind", "parallel-lines", "--dimension", "2"], "--dimension"),
+        (["--kind", "zigzag", "--base1", "0,0"], "--base1"),
+        (["--kind", "staircase", "--line-direction", "1,1"], "--line-direction"),
+        (["--kind", "transversal-curve", "--base2", "0,1"], "--base2"),
+    ],
+    ids=["zigzag-two-unread", "staircase-sampling", "parallel-lines", "zigzag", "staircase", "transversal-curve"],
+)
+def test_generate_rejects_flags_its_kind_never_reads(capsys, argv, flag):
+    assert main(["generate", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} does not apply to kind {argv[1]}" in err
+
+
+@pytest.mark.parametrize("dims", [["--dimension", "2"], ["--dimension", "4"]])
+def test_generate_staircase_dimension_must_match_directions(capsys, dims):
+    assert main(["generate", "--kind", "staircase", "--directions", "1,0,0;0,1,0;1,1,1", *dims]) == 2
+    assert f"--dimension {dims[1]} does not match the dimension of --directions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,points",
+    [
+        (["--kind", "parallel-lines", "--samples", "5", "--step", "3/2"], 10),
+        (["--kind", "parallel-lines", "--samples", "8", "--base2", "0,3"], 16),
+        (["--kind", "zigzag", "--samples", "8", "--step", "1/3"], 8),
+        (["--kind", "zigzag", "--samples", "16", "--start", "2/3"], 16),
+        (["--kind", "staircase", "--dimension", "3", "--directions", "1,0,0;0,1,0;1,1,1"], 4),
+        (["--kind", "staircase", "--dimension", "4"], 5),
+        (["--kind", "staircase"], 4),
+        (["--kind", "transversal-curve", "--samples", "6", "--start", "2", "--coefficients", "0,1;1,2"], 6),
+        (["--kind", "transversal-curve", "--samples", "8", "--step", "1/2", "--coefficients", "0,1;0,0,1"], 8),
+    ],
+)
+def test_generate_reads_each_kinds_flags_and_defaults(capsys, argv, points):
+    assert main(["generate", *argv, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["kind"], report["points"], report["closed_path"]) == (argv[1], points, False)

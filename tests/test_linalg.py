@@ -1,6 +1,8 @@
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -111,6 +113,37 @@ def test_kernel_vectors_are_integer_primitive():
         assert all(x.denominator == 1 for x in vec)
         first = next(x for x in vec if x)
         assert first > 0
+
+
+def test_kernel_basis_is_a_read_only_sequence():
+    # three free columns; the vectors are built when read, and the basis
+    # compares equal to a list or tuple of them
+    basis = kernel_basis(M([[1, 1, 0, 2]]))
+    first, second, third = (F(1), F(-1), F(0), F(0)), (F(0), F(0), F(1), F(0)), (F(2), F(0), F(0), F(-1))
+    assert isinstance(basis, Sequence)
+    assert len(basis) == 3
+    assert list(basis) == [first, second, third]
+    assert basis[-1] == third and basis[-3] == first
+    for k in (3, -4):
+        with pytest.raises(IndexError):
+            basis[k]
+    assert basis == [first, second, third] and basis == (first, second, third)
+    assert [first, second, third] == basis
+    assert basis != [first, second] and basis != [first, second, first] and basis != "abc"
+    assert basis.index(second) == 1 and third in basis
+    assert kernel_basis(IDENTITY_3) == [] and not kernel_basis(IDENTITY_3)
+    with pytest.raises(TypeError):
+        hash(basis)
+
+
+@given(matrices(max_dim=6))
+def test_kernel_integer_pairs_match_the_dense_vectors(m):
+    basis = kernel_basis(m)
+    for k, vec in enumerate(basis):
+        pairs = basis._pairs(k)
+        assert [j for j, _ in pairs] == sorted({j for j, _ in pairs})
+        assert all(type(n) is int and n for _, n in pairs)
+        assert pairs == [(j, int(x)) for j, x in enumerate(vec) if x]
 
 
 def test_solve_identity():

@@ -13,6 +13,8 @@ from linsuper import (
     abstract_points,
     build_incidence,
     certificate_from_kernel_vector,
+    coordinate_functions,
+    coordinate_points,
     certify_minimal,
     decompose_functional,
     detect,
@@ -27,6 +29,7 @@ from linsuper import (
 
 from examples import five_point_path, simplex_corners, six_point_path, unit_grid
 from oracles import (
+    dense_kernel,
     dense_product,
     oracle_is_closed,
     oracle_minimal_paths,
@@ -350,3 +353,56 @@ def test_certificate_checks_match_the_fraction_formulas(raw, unit, nudge):
         cert = ClosedPathCertificate(support, lam, normalized)
         assert cert.integer_lambda() == integer_primitive(lam)
         assert cert.normalized_lambda() == unit_l1(lam)
+
+
+def test_detect_on_a_grid_builds_at_most_one_dense_vector(monkeypatch):
+    # detect keeps one kernel vector of the 361 of a 20x20 grid; it reads it
+    # as integer pairs, so no dense kernel vector need be built at all
+    import linsuper.linalg
+
+    ps = coordinate_points([(F(x), F(y)) for x in range(20) for y in range(20)])
+    inc = build_incidence(ps, coordinate_functions(ps))
+    built = []
+    dense = linsuper.linalg._dense
+
+    def counting(size, entries):
+        built.append(size)
+        return dense(size, entries)
+
+    monkeypatch.setattr(linsuper.linalg, "_dense", counting)
+    cert = detect(inc)
+    assert len(built) <= 1
+    verify_certificate(inc, cert)
+    assert len(kernel_basis(inc.matrix)) == 19 * 19
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=150, deadline=None)
+def test_closed_path_checks_match_a_dense_support_reference(seed):
+    # a support is a closed path iff no coordinate vanishes on every vector
+    # of the restricted kernel; the library checks that on sparse supports,
+    # the reference on the dense vectors of the reference elimination
+    rng = random.Random(seed)
+    ps, ff = random_instance(rng, max_points=8)
+    inc = build_incidence(ps, ff)
+    support = rng.sample(ps.ids, rng.randint(1, len(ps.ids)))
+    ordered = inc.sorted_support(support)
+    cols = [inc.point_ids.index(pid) for pid in ordered]
+    rows = integer_rows(inc)
+    basis = dense_kernel([[F(row[c]) for c in cols] for row in rows], len(cols))
+    closed = bool(basis) and all(map(any, zip(*basis)))
+    assert closed == oracle_is_closed(rows, cols)
+    vec = is_closed_path(inc, support)
+    assert (vec is not None) == closed
+    if not closed:
+        for check in (certify_minimal, find_minimal_within):
+            with pytest.raises(ContractViolationError):
+                check(inc, support)
+        return
+    assert all(vec) and not any(dense_product(inc.restricted(ordered), vec))
+    circuit = tuple(pid for pid, x in zip(ordered, basis[0]) if x)
+    result = certify_minimal(inc, support)
+    assert result.is_minimal == (len(basis) == 1)
+    assert (result.certificate.support if result.is_minimal else result.counterexample) == circuit
+    found = find_minimal_within(inc, support)
+    assert found.support == circuit and found.lam == unit_l1([x for x in basis[0] if x])

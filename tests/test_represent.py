@@ -17,7 +17,7 @@ from linsuper import (
 )
 
 from examples import broken_line, five_point_path, simplex_corners
-from oracles import dense_product, random_instance, random_superposition, random_table
+from oracles import dense_kernel, dense_product, random_instance, random_superposition, random_table
 from permissibility import verify_permissible_implication
 
 F = Fraction
@@ -195,3 +195,29 @@ def test_permissible_implication_vacuous_probes():
     report = verify_permissible_implication(inc, [])
     assert report.branch == "no closed paths"
     assert report.holds
+
+
+def test_violation_is_the_first_dense_kernel_vector_with_a_nonzero_value():
+    # the membership fallback reads the kernel as integer pairs and stops at
+    # the first vector whose functional does not vanish on f: the same
+    # vector as the first such one of the reference elimination
+    rng = random.Random(20240)
+    violated = 0
+    for _ in range(200):
+        ps, ff = random_instance(rng, max_points=9, max_functions=3, values=(0, 1, 2))
+        inc = build_incidence(ps, ff)
+        f = random_table(rng, ps.ids)
+        values = [f[pid] for pid in inc.point_ids]
+        rows = [list(inc.matrix.row(i)) for i in range(inc.matrix.rows)]
+        dots = [(vec, sum(x * y for x, y in zip(vec, values))) for vec in dense_kernel(rows, inc.n_points)]
+        violators = [(vec, value) for vec, value in dots if value]
+        result = is_representable(inc, f)
+        assert result.representable == (not violators)
+        assert representable_by_orthogonality(inc, f) == (not violators)
+        if violators:
+            violated += 1
+            vec, value = violators[0]
+            assert result.violation.support == tuple(pid for pid, x in zip(inc.point_ids, vec) if x)
+            assert result.violation.lam == tuple(x for x in vec if x)
+            assert result.violation_value == value
+    assert violated > 100
