@@ -58,7 +58,7 @@ def main() -> None:
     print("minimal:", result6.is_minimal, "- counterexample subset:", result6.counterexample)
     lam6 = tuple(F(x) for x in (3, -1, -1, -2, 2, -1))
     decomposition = decompose_functional(inc6, ClosedPathCertificate(inc6.point_ids, lam6))
-    print("peeling", show(lam6), "into minimal functionals:")
+    print("decomposing", show(lam6), "into minimal functionals:")
     for coeff, term in decomposition.terms:
         print(f"  {coeff} * G{term.support}")
     print("all minimal paths:", [c.support for c in enumerate_minimal(inc6, 6, "exhaustive")])

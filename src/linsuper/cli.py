@@ -107,7 +107,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
             raise InputValidationError(f"points[{k}].id must be an integer, got {pid!r}")
         coords = None
         if entry.get("coords") is not None:
-            coords = tuple(parse_rational(c) for c in entry["coords"])
+            coords = _json_vector(entry["coords"], f"points[{k}].coords")
         points.append(Point(pid, coords))
     point_set = PointSet(tuple(points))
     known = set(point_set.ids)
@@ -134,7 +134,7 @@ def parse_instance_text(text: str) -> InstanceDocument:
         dirs_raw = functions.get("directions")
         if not isinstance(dirs_raw, list) or not dirs_raw:
             raise InputValidationError('ridge functions need a nonempty "directions" list')
-        directions = tuple(direction([parse_rational(c) for c in vec]) for vec in dirs_raw)
+        directions = tuple(direction(_json_vector(v, f"functions.directions[{i}]")) for i, v in enumerate(dirs_raw))
         family = ridge_instance(directions, point_set).family
     else:
         raise InputValidationError(f"unknown functions kind {functions['kind']!r}")
@@ -148,14 +148,23 @@ def parse_instance_text(text: str) -> InstanceDocument:
     return InstanceDocument(point_set, family, directions, target, _parse_options(doc.get("options")))
 
 
+def _json_vector(raw: Any, where: str) -> tuple[Fraction, ...]:
+    """A JSON list of rationals; a string or a number is not a vector."""
+    if not isinstance(raw, list):
+        raise InputValidationError(f"{where} must be a list of rationals, got {type(raw).__name__}")
+    return tuple(parse_rational(c) for c in raw)
+
+
 def _id_table(raw: dict, where: str, known: set[int]) -> dict[int, Fraction]:
-    """A JSON object mapping ids of known points to rationals."""
+    """A JSON object mapping ids of known points, written as str(id), to rationals."""
     table = {}
     for key, value in raw.items():
         try:
             pid = int(key)
         except ValueError:
-            raise InputValidationError(f"{where} key {key!r} is not a point id") from None
+            pid = None
+        if pid is None or key != str(pid):
+            raise InputValidationError(f"{where} key {key!r} is not a point id")
         if pid not in known:
             raise InputValidationError(f"{where} mentions unknown point id {pid}")
         table[pid] = parse_rational(value)

@@ -290,19 +290,16 @@ def kernel_basis(m: RationalMatrix) -> KernelBasis:
 class SolveResult:
     """Outcome of an exact linear solve.
 
-    On success `solution` is the unique solution with every free variable
-    set to zero. On inconsistency `solution` is None and `conflict_row` is
-    a row of rref([m|b]) of the shape [0 ... 0 | c] with c != 0, which
-    certifies that no solution exists. `rank` is the rank of m itself.
+    `solution` is the unique solution with every free variable set to zero,
+    or None when the system is inconsistent. `rank` is the rank of m itself.
     """
 
     solution: Vector | None
-    conflict_row: Vector | None
     rank: int
 
 
 def solve(m: RationalMatrix, b: Sequence[Fraction]) -> SolveResult:
-    """Solve m.x = b exactly, zeroing free variables; certify inconsistency."""
+    """Solve m.x = b exactly, zeroing free variables."""
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != rows {m.rows}")
     n = m.cols
@@ -315,7 +312,7 @@ def solve(m: RationalMatrix, b: Sequence[Fraction]) -> SolveResult:
             den = common
         data.append((den, nums))
     reduced, pivots = rref(RationalMatrix._from_storage(m.rows, n + 1, tuple(data)))
-    if pivots and pivots[-1] == n:
-        return SolveResult(None, reduced.row(len(pivots) - 1), len(pivots) - 1)
+    if pivots and pivots[-1] == n:  # a reduced row [0 ... 0 | 1]
+        return SolveResult(None, len(pivots) - 1)
     x = ((pc, _fraction(nums[n], den)) for (den, nums), pc in zip(reduced._data, pivots) if n in nums)
-    return SolveResult(_dense(n, x), None, len(pivots))
+    return SolveResult(_dense(n, x), len(pivots))

@@ -107,16 +107,13 @@ def coordinate_functions(ps: PointSet) -> FunctionFamily:
 class LevelClass:
     """All points on which one function takes one value; keyed by (index, value).
 
-    `build_level_classes` also sets `_columns`, the members' positions in the point set.
+    `columns` are the members' positions in the point set.
     """
 
     function_index: int
     value: Fraction
     members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise InputValidationError("a level class cannot be empty")
+    columns: list[int] = field(repr=False, compare=False)
 
 
 def build_level_classes(ps: PointSet, ff: FunctionFamily) -> tuple[LevelClass, ...]:
@@ -155,9 +152,7 @@ def build_level_classes(ps: PointSet, ff: FunctionFamily) -> tuple[LevelClass, .
             raise InternalInvariantError(f"the classes of function {i} do not partition the points")
         for key in sorted(groups):
             columns = groups[key]
-            cls = LevelClass(i, values[columns[0]], frozenset(map(ids.__getitem__, columns)))
-            object.__setattr__(cls, "_columns", columns)
-            classes.append(cls)
+            classes.append(LevelClass(i, values[columns[0]], frozenset(map(ids.__getitem__, columns)), columns))
     return tuple(classes)
 
 
@@ -201,7 +196,7 @@ class IncidenceMatrix:
 
 def build_incidence(ps: PointSet, ff: FunctionFamily) -> IncidenceMatrix:
     classes = build_level_classes(ps, ff)
-    matrix = RationalMatrix._zero_one(len(ps), [cls._columns for cls in classes])
+    matrix = RationalMatrix._zero_one(len(ps), [cls.columns for cls in classes])
     return IncidenceMatrix(matrix, classes, ps.ids)
 
 

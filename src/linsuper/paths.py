@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import ContractViolationError, InputValidationError, InternalInvariantError
-from .linalg import _ZERO, Vector, _fraction, integer_primitive, kernel_basis
+from .linalg import _ZERO, Vector, integer_primitive, kernel_basis
 from .model import IncidenceMatrix
 
 
@@ -57,10 +57,7 @@ class ClosedPathCertificate:
 
     def integer_lambda(self) -> Vector:
         """Integer content-1 form of the coefficients, first entry positive."""
-        g = gcd(*self._nums)
-        if self._nums[0] < 0:
-            g = -g
-        return tuple(_fraction(n // g) for n in self._nums)
+        return integer_primitive(self._nums)
 
     def normalized_lambda(self) -> Vector:
         """Unit-l1 form of the coefficients, first entry positive."""
@@ -237,31 +234,17 @@ class FunctionalDecomposition:
 def decompose_functional(
     inc: IncidenceMatrix, cert: ClosedPathCertificate
 ) -> FunctionalDecomposition:
-    """Peel a closed-path functional into minimal-path functionals.
+    """Write a closed-path functional over the fundamental circuits of its support.
 
-    Repeatedly find a minimal path inside the current support, align at its
-    lowest point id x1, subtract (theta(x1)/nu(x1)) times its functional,
-    and continue on the residual. The aligned point drops out at every
-    step, so the support shrinks strictly and the loop terminates with a
-    zero residual.
+    The canonical vectors of the restricted kernel are circuits, one per
+    free column f, and only the one of f is nonzero at f. So the kernel
+    vector lam is the sum over f of (lam(f) / nu_f(f)) * nu_f: one term per
+    circuit, every coefficient nonzero since lam has full support.
     """
     verify_certificate(inc, cert)
-    theta = cert.as_table()
-    terms: list[tuple[Fraction, ClosedPathCertificate]] = []
-    while theta:
-        minimal = find_minimal_within(inc, theta)
-        x1 = minimal.support[0]
-        coeff = theta[x1] / minimal.lam[0]
-        for pid, nu in zip(minimal.support, minimal.lam):
-            new = theta.get(pid, _ZERO) - coeff * nu
-            if new:
-                theta[pid] = new
-            else:
-                theta.pop(pid, None)
-        if x1 in theta:  # pragma: no cover - alignment removes x1 by construction
-            raise InternalInvariantError("peeling failed to remove the alignment point")
-        terms.append((coeff, minimal))
-    return FunctionalDecomposition(tuple(terms))
+    ordered, basis = _closed_kernel(inc, cert.support)
+    circuits = [(_circuit(ordered, pairs), pairs[-1][0]) for pairs in basis]  # each with its free column
+    return FunctionalDecomposition(tuple((cert.lam[f] / circuit.lam[-1], circuit) for circuit, f in circuits))
 
 
 EnumerationMode = Literal["fundamental", "exhaustive"]

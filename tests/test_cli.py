@@ -445,6 +445,45 @@ def test_table_unknown_id_rejected(tmp_path, capsys, flags):
     assert "functions.tables[0] mentions unknown point id 99" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "functions,coords,where",
+    [
+        ({"kind": "ridge", "directions": [["1", "0"], ["0", "1"]]}, "12", "points[0].coords"),
+        ({"kind": "ridge", "directions": [["1", "0"], ["0", "1"]]}, 5, "points[0].coords"),
+        ({"kind": "ridge", "directions": ["10", ["0", "1"]]}, ["1", "2"], "functions.directions[0]"),
+        ({"kind": "ridge", "directions": [["1", "0"], 7]}, ["1", "2"], "functions.directions[1]"),
+    ],
+    ids=["coords-string", "coords-number", "direction-string", "direction-number"],
+)
+def test_instance_vectors_must_be_lists(tmp_path, capsys, functions, coords, where):
+    # a string would be read digit by digit, a number would raise a TypeError
+    doc = {"points": [{"id": 1, "coords": coords}, {"id": 2, "coords": ["3", "4"]}], "functions": functions}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["detect", str(path)]) == 2
+    assert f"{where} must be a list of rationals" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["01", "+1", " 1", "1_0"])
+@pytest.mark.parametrize("field", ["table", "target"])
+def test_point_id_keys_must_be_canonical(tmp_path, capsys, key, field):
+    # "01" would silently overwrite the value of point 1, "1_0" would name point 10
+    canonical = str(int(key))
+    table = {"1": "0", "2": "0", "10": "0"}
+    target = {"1": "1", "2": "0", "10": "0"}
+    edited = table if field == "table" else target
+    edited[key] = edited.pop(canonical)
+    doc = {
+        "points": [{"id": 1}, {"id": 2}, {"id": 10}],
+        "functions": {"kind": "tabulated", "tables": [table]},
+        "target": target,
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["represent", str(path)]) == 2
+    assert f"key {key!r} is not a point id" in capsys.readouterr().err
+
+
 def test_large_document_with_a_target_parses_in_linear_time():
     # every target id is looked up in a set; scanning the point ids once per
     # entry took 26 s on this document (Python 3.11, two-vCPU x86-64 VM)

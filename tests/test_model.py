@@ -101,6 +101,7 @@ def test_counting_invariants(seed):
         assert sum(inc.matrix.row(i)[j] for i in range(inc.matrix.rows)) == r
     for i, cls in enumerate(inc.classes):
         assert sum(inc.matrix.row(i)) == len(cls.members)
+        assert sorted(cls.columns) == sorted(map(ps.ids.index, cls.members))
     assert sum(inc.matrix.entries) == r * n
 
 

@@ -172,7 +172,7 @@ def test_fundamental_mode_spans_kernel(seed):
     assert len(certs) == dim
     oracle = oracle_minimal_paths(inc)
     assert all(frozenset(cert.support) in oracle for cert in certs)
-    # the same paths that peeling the canonical kernel vectors yields
+    # the same paths that decomposing the canonical kernel vectors yields
     peeled = {}
     for vec in basis:
         seed_cert = certificate_from_kernel_vector(inc, vec)
@@ -304,6 +304,42 @@ def test_decompose_recombination_random(seed):
     cert = ClosedPathCertificate(support, lam)
     decomposition = decompose_functional(inc, cert)
     assert decomposition.recombined() == dict(zip(support, lam))
+
+
+def test_decompose_reads_one_restricted_kernel(monkeypatch, inc6):
+    import linsuper.paths
+
+    calls = []
+    real = linsuper.paths.kernel_basis
+
+    def counting(m):
+        calls.append(m.cols)
+        return real(m)
+
+    monkeypatch.setattr(linsuper.paths, "kernel_basis", counting)
+    lam = tuple(F(x) for x in (3, -1, -1, -2, 2, -1))
+    decomposition = decompose_functional(inc6, ClosedPathCertificate(inc6.point_ids, lam))
+    assert calls == [6]
+    assert len(decomposition.terms) == 2
+
+
+@given(st.integers(0, 100_000))
+@settings(max_examples=100, deadline=None)
+def test_decompose_terms_are_the_fundamental_circuits_of_the_support(seed):
+    # one term per canonical vector of the restricted kernel, on its support
+    rng = random.Random(seed)
+    ps, ff = random_instance(rng, max_points=8)
+    inc = build_incidence(ps, ff)
+    support = inc.sorted_support(rng.sample(ps.ids, rng.randint(1, len(ps.ids))))
+    lam = is_closed_path(inc, support)
+    if lam is None:
+        return
+    cert = ClosedPathCertificate(support, lam)
+    decomposition = decompose_functional(inc, cert)
+    circuits = [tuple(pid for pid, x in zip(support, vec) if x) for vec in kernel_basis(inc.restricted(support))]
+    assert [term.support for _, term in decomposition.terms] == circuits
+    assert all(coeff for coeff, _ in decomposition.terms)
+    assert decomposition.recombined() == cert.as_table()
 
 
 def test_find_minimal_within_descends(inc6):
