@@ -152,7 +152,15 @@ def _json_vector(raw: Any, where: str) -> tuple[Fraction, ...]:
     """A JSON list of rationals; a string or a number is not a vector."""
     if not isinstance(raw, list):
         raise InputValidationError(f"{where} must be a list of rationals, got {type(raw).__name__}")
-    return tuple(parse_rational(c) for c in raw)
+    return tuple(_field_rational(c, where, k) for k, c in enumerate(raw))
+
+
+def _field_rational(value: Any, where: str, key: int | str) -> Fraction:
+    """parse_rational, with the field where[key] it was read from named in its error."""
+    try:
+        return parse_rational(value)
+    except InputValidationError as exc:
+        raise InputValidationError(f"{where}[{key!r}]: {exc}") from None
 
 
 def _id_table(raw: dict, where: str, known: set[int]) -> dict[int, Fraction]:
@@ -164,10 +172,10 @@ def _id_table(raw: dict, where: str, known: set[int]) -> dict[int, Fraction]:
         except ValueError:
             pid = None
         if pid is None or key != str(pid):
-            raise InputValidationError(f"{where} key {key!r} is not a point id")
+            raise InputValidationError(f"{where} key {key[:20]!r}{'...' if len(key) > 20 else ''} is not a point id")
         if pid not in known:
             raise InputValidationError(f"{where} mentions unknown point id {pid}")
-        table[pid] = parse_rational(value)
+        table[pid] = _field_rational(value, where, key)
     return table
 
 

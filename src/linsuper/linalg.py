@@ -223,11 +223,12 @@ def integer_primitive(vec: Iterable[Fraction]) -> Vector:
     the vector's ray, used to make kernel output reproducible.
     """
     items = tuple(vec)
-    _, nums = _row(items)
-    g = gcd(*nums.values()) or 1
-    if nums and next(iter(nums.values())) < 0:  # the first nonzero entry
+    den = lcm(*[x.denominator for x in items])
+    nums = [x.numerator * (den // x.denominator) for x in items] if den != 1 else [x.numerator for x in items]
+    g = gcd(*nums) or 1
+    if next((n for n in nums if n), 0) < 0:  # the first nonzero entry
         g = -g
-    return _dense(len(items), ((j, _fraction(n // g)) for j, n in nums.items()))
+    return tuple([_fraction(n // g) for n in nums])
 
 
 class KernelBasis(Sequence[Vector]):
@@ -299,20 +300,18 @@ class SolveResult:
 
 
 def solve(m: RationalMatrix, b: Sequence[Fraction]) -> SolveResult:
-    """Solve m.x = b exactly, zeroing free variables."""
+    """Solve m.x = b exactly, zeroing free variables. Row i keeps its integers (times d_i)
+    beside b_i * D * d_i, D the lcm of b's denominators, and D.x is divided by D on readout."""
     if len(b) != m.rows:
         raise ValueError(f"right-hand side length {len(b)} != rows {m.rows}")
     n = m.cols
-    data = []
-    for (den, nums), rhs in zip(m._data, b):
-        if rhs:  # over lcm(den, q) the row stays normal
-            common = lcm(den, rhs.denominator)
-            nums = {j: x * (common // den) for j, x in nums.items()}
-            nums[n] = rhs.numerator * (common // rhs.denominator)
-            den = common
-        data.append((den, nums))
-    reduced, pivots = rref(RationalMatrix._from_storage(m.rows, n + 1, tuple(data)))
+    scale = lcm(*[x.denominator for x in b])
+    data = tuple(
+        (1, {**nums, n: rhs.numerator * (scale // rhs.denominator) * den} if rhs else nums)
+        for (den, nums), rhs in zip(m._data, b)
+    )
+    reduced, pivots = rref(RationalMatrix._from_storage(m.rows, n + 1, data))
     if pivots and pivots[-1] == n:  # a reduced row [0 ... 0 | 1]
         return SolveResult(None, len(pivots) - 1)
-    x = ((pc, _fraction(nums[n], den)) for (den, nums), pc in zip(reduced._data, pivots) if n in nums)
+    x = ((pc, _fraction(nums[n], den * scale)) for (den, nums), pc in zip(reduced._data, pivots) if n in nums)
     return SolveResult(_dense(n, x), len(pivots))

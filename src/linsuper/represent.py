@@ -13,12 +13,14 @@ independent cross-check) and must always agree.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import InputValidationError, InternalInvariantError
-from .linalg import _ONE, _ZERO, _row, kernel_basis, solve
+from .linalg import _ONE, _ZERO, RationalMatrix, _row, kernel_basis, solve
 from .model import IncidenceMatrix, PointSet
 from .paths import ClosedPathCertificate, certificate_from_kernel_vector, evaluate_certificate
 
@@ -66,37 +68,40 @@ def is_representable(inc: IncidenceMatrix, f: FunctionTable) -> RepresentationRe
     certificate whose functional evaluates to a nonzero value on f.
     """
     values = _column_values(inc, f)
-    outcome = solve(inc.matrix.transpose(), values)
-    fden, fnums = _row(values)  # f = fnums / fden in integers, zeros left out
-    if outcome.solution is not None:
-        g = outcome.solution
-        tables: tuple[dict[Fraction, Fraction], ...] = tuple(
-            {} for _ in range(max(cls.function_index for cls in inc.classes) + 1)
-        ) if inc.classes else ()
-        gden, gnums = _row(g)
-        sums = dict.fromkeys(inc.point_ids, 0)  # the reconstruction times gden
-        for k, (cls, value) in enumerate(zip(inc.classes, g)):
-            tables[cls.function_index][cls.value] = value
-            n = gnums.get(k)
-            if n:
-                for pid in cls.members:
-                    sums[pid] += n
-        for j, (pid, total) in enumerate(sums.items()):
-            if total * fden != fnums.get(j, 0) * gden:  # pragma: no cover - solve is exact
-                raise InternalInvariantError(f"reconstruction differs from f at point {pid}")
-        reconstruction = dict(zip(inc.point_ids, values))  # equal to f, as just checked
-        freedom = len(inc.classes) - outcome.rank
-        return RepresentationResult(True, decomposition=Decomposition(tables, freedom, reconstruction))
     basis = kernel_basis(inc.matrix)
-    for k in range(len(basis)):  # integer vectors, so vec . f = total / fden
-        pairs = basis._pairs(k)
-        total = sum(n * fnums.get(j, 0) for j, n in pairs)
-        if total:
-            cert = certificate_from_kernel_vector(inc, basis[k])  # the one vector read densely
-            return RepresentationResult(False, violation=cert, violation_value=Fraction(total, fden))
-    raise InternalInvariantError(  # pragma: no cover - duality guarantees a violator
-        "transpose solve failed but f is orthogonal to the kernel"
-    )
+    # the pivot points are a column basis of M, so their equations of
+    # M^T g = f give the canonical g and the rank of the whole system
+    free = set(basis._free)
+    pivots = [j for j in range(inc.n_points) if j not in free]
+    rows = inc.matrix.transpose()._data
+    equations = RationalMatrix._from_storage(len(pivots), inc.matrix.rows, tuple(rows[j] for j in pivots))
+    outcome = solve(equations, [values[j] for j in pivots])
+    if outcome.solution is None:  # pragma: no cover - independent equations are consistent
+        raise InternalInvariantError("the pivot-point equations are inconsistent")
+    g = outcome.solution
+    fden, fnums = _row(values)  # f = fnums / fden in integers, zeros left out
+    gden, gnums = _row(g)
+    sums = [0] * inc.n_points  # the reconstruction times gden
+    for k, n in gnums.items():
+        for j in inc.classes[k].columns:
+            sums[j] += n
+    common = lcm(fden, gden)  # mostly equal to both, so neither side grows
+    fs, gs = common // fden, common // gden
+    bad = next((j for j, total in enumerate(sums) if total * gs != fnums.get(j, 0) * fs), None)
+    if bad is None:  # a member exactly when g reconstructs f at every point
+        tables = tuple({} for _ in range(max((cls.function_index + 1 for cls in inc.classes), default=0)))
+        for cls, value in zip(inc.classes, g):
+            tables[cls.function_index][cls.value] = value
+        freedom = len(inc.classes) - outcome.rank
+        return RepresentationResult(True, decomposition=Decomposition(tables, freedom, dict(zip(inc.point_ids, values))))
+    # f - M^T g is zero on the pivot points and kernel vector k on the free points
+    # but its own: the first point not reconstructed is the first violated vector's
+    k = bisect_left(basis._free, bad)
+    total = sum(n * fnums.get(j, 0) for j, n in basis._pairs(k)) if bad in free else 0
+    if not total:  # pragma: no cover - the residual is zero on the pivot points
+        raise InternalInvariantError("f is not reconstructed but is orthogonal to the kernel")
+    cert = certificate_from_kernel_vector(inc, basis[k])  # the one vector read densely
+    return RepresentationResult(False, violation=cert, violation_value=Fraction(total, fden))
 
 
 def representable_by_orthogonality(inc: IncidenceMatrix, f: FunctionTable) -> bool:

@@ -484,6 +484,46 @@ def test_point_id_keys_must_be_canonical(tmp_path, capsys, key, field):
     assert f"key {key!r} is not a point id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["table", "target"])
+def test_rejected_key_is_clipped_in_the_error(tmp_path, capsys, field):
+    # the whole key used to be echoed: a 200,000-character key made a 200,052-byte line
+    key = "x" * 200_000
+    table = {"1": "0", "2": "1"}
+    target = {"1": "1", "2": "0"}
+    (table if field == "table" else target)[key] = "0"
+    doc = {"points": [{"id": 1}, {"id": 2}], "functions": {"kind": "tabulated", "tables": [table]}, "target": target}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["represent", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"key {'x' * 20!r}... is not a point id" in err
+    assert len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "edit,where",
+    [
+        (lambda doc: doc["points"][0].update(coords=[[1], "0"]), "points[0].coords[0]"),
+        (lambda doc: doc["points"][1].update(coords=["0", "1/0"]), "points[1].coords[1]"),
+        (lambda doc: doc["functions"]["directions"][1].__setitem__(0, {"x": 1}), "functions.directions[1][0]"),
+        (lambda doc: doc["functions"].update(kind="tabulated", tables=[{"1": "0", "2": [1]}]), "functions.tables[0]['2']"),
+        (lambda doc: doc["target"].__setitem__("1", "one"), "target['1']"),
+    ],
+    ids=["coords-list", "coords-zero-denominator", "direction-object", "table-value", "target-value"],
+)
+def test_an_entry_that_is_not_a_rational_names_its_field(tmp_path, capsys, edit, where):
+    doc = {
+        "points": [{"id": 1, "coords": ["0", "0"]}, {"id": 2, "coords": ["1", "1"]}],
+        "functions": {"kind": "ridge", "directions": [["1", "0"], ["0", "1"]]},
+        "target": {"1": "0", "2": "1"},
+    }
+    edit(doc)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["represent", str(path)]) == 2
+    assert f"{where}: cannot parse rational" in capsys.readouterr().err
+
+
 def test_large_document_with_a_target_parses_in_linear_time():
     # every target id is looked up in a set; scanning the point ids once per
     # entry took 26 s on this document (Python 3.11, two-vCPU x86-64 VM)

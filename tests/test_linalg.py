@@ -1,3 +1,4 @@
+import math
 import random
 from collections.abc import Sequence
 from fractions import Fraction
@@ -181,6 +182,21 @@ def test_solve_agrees_with_rank_criterion(m, data):
 def test_integer_primitive_scales_and_signs():
     assert integer_primitive((F(-2, 3), F(4, 3))) == (F(1), F(-2))
     assert integer_primitive((F(0), F(0))) == (F(0), F(0))
+    assert integer_primitive(()) == ()
+    assert integer_primitive((0, -6, 4)) == (F(0), F(3), F(-2))
+
+
+@given(st.lists(st.one_of(st.just(F(0)), rationals), max_size=8))
+def test_integer_primitive_is_the_content_one_multiple_with_a_positive_lead(vec):
+    out = integer_primitive(vec)
+    assert len(out) == len(vec) and all(type(x) is Fraction and x.denominator == 1 for x in out)
+    if not any(vec):
+        assert out == tuple(vec)
+        return
+    ratio = next(y / x for x, y in zip(vec, out) if x)
+    assert out == tuple(x * ratio for x in vec)
+    assert next(x for x in out if x) > 0
+    assert math.gcd(*(x.numerator for x in out)) == 1
 
 
 def test_dot_and_transpose():
@@ -276,6 +292,27 @@ def test_engine_matches_dense_reference_on_transposed_broken_lines():
         assert_engine_matches_reference(permuted, [target[i] for i in order])
 
 
+def test_solve_carries_mixed_denominators_over_one_scale():
+    # b over coprime and large denominators, rows over their own: the
+    # solution and the rank are the dense reference's, consistent or not
+    rows = [
+        [F(1, 3), F(2, 5), F(0), F(1, 7)],
+        [F(0), F(1, 2), F(-3, 11), F(0)],
+        [F(2, 3), F(0), F(1, 13), F(5, 7)],
+        [F(1, 3), F(9, 10), F(-6, 22), F(1, 7)],  # the sum of the first two
+    ]
+    m = M(rows)
+    for b in (
+        [F(1, 2**40), F(-7, 9), F(3, 10**12 + 39), F(1, 2**40) - F(7, 9)],
+        [F(5, 3), F(2, 17), F(0), F(1)],
+        [F(0), F(0), F(0), F(0)],
+    ):
+        solution, _, ref_rank = dense_solve(rows, b, m.cols)
+        result = solve(m, b)
+        assert (result.solution, result.rank) == (solution, ref_rank)
+    assert solve(m, [F(1, 2**40), F(-7, 9), F(0), F(1)]).solution is None
+
+
 def test_kernel_basis_and_solve_each_call_rref_once(monkeypatch):
     # the benchmark's tracer reads the kernel and the solve off the rref span
     import linsuper.linalg
@@ -334,7 +371,11 @@ def test_library_reaches_the_traced_linalg_names(monkeypatch):
     assert reached(lambda: detect(inc)) >= {"paths.kernel_basis", "linalg.rref"}
     for mode, cap in (("fundamental", None), ("exhaustive", 4)):
         assert reached(lambda: enumerate_minimal(inc, cap, mode)) >= {"paths.kernel_basis", "linalg.rref"}
-    assert reached(lambda: is_representable(inc, member)) >= {"represent.solve", "linalg.rref"}
+    assert reached(lambda: is_representable(inc, member)) >= {
+        "represent.solve",
+        "represent.kernel_basis",
+        "linalg.rref",
+    }
     assert reached(lambda: is_representable(inc, nonmember)) >= {
         "represent.solve",
         "represent.kernel_basis",

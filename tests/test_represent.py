@@ -9,6 +9,8 @@ from linsuper import (
     ClosedPathCertificate,
     InputValidationError,
     build_incidence,
+    coordinate_functions,
+    coordinate_points,
     detect,
     is_representable,
     make_witness,
@@ -17,7 +19,7 @@ from linsuper import (
 )
 
 from examples import broken_line, five_point_path, simplex_corners
-from oracles import dense_kernel, dense_product, random_instance, random_superposition, random_table
+from oracles import dense_kernel, dense_product, dense_solve, random_instance, random_superposition, random_table
 from permissibility import verify_permissible_implication
 
 F = Fraction
@@ -221,3 +223,75 @@ def test_violation_is_the_first_dense_kernel_vector_with_a_nonzero_value():
             assert result.violation.lam == tuple(x for x in vec if x)
             assert result.violation_value == value
     assert violated > 100
+
+
+def _grid(k):
+    ps = coordinate_points([(F(x), F(y, 2)) for x in range(k) for y in range(k)])
+    return ps, coordinate_functions(ps)
+
+
+def _member_instances():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        ps, ff = random_instance(rng, max_points=9, max_functions=3, values=(0, 1, 2, 3))
+        yield ps, ff, random_superposition(rng, ps, ff)
+    for k in (1, 2, 3, 5, 8):
+        ps, ff = _grid(k)
+        yield ps, ff, random_superposition(rng, ps, ff)
+    for count in (1, 2, 7, 24, 60):
+        ps, ff = broken_line(count)
+        yield ps, ff, random_table(rng, ps.ids)  # a broken line is path-free
+
+
+def test_member_decomposition_is_the_dense_solve_of_the_whole_transposed_system():
+    # the pivot-point equations have the canonical g and the rank of all of
+    # M^T g = f, which the dense reference solves with every point's equation
+    for ps, ff, f in _member_instances():
+        inc = build_incidence(ps, ff)
+        rows = [list(inc.matrix.row(i)) for i in range(inc.matrix.rows)]
+        transposed = [list(column) for column in zip(*rows)]
+        solution, conflict, ref_rank = dense_solve(transposed, [f[pid] for pid in inc.point_ids], inc.matrix.rows)
+        assert conflict is None
+        result = is_representable(inc, f)
+        assert result.representable
+        tables = result.decomposition.tables
+        assert [tables[cls.function_index][cls.value] for cls in inc.classes] == list(solution)
+        assert sum(map(len, tables)) == len(inc.classes)
+        assert result.decomposition.freedom == len(inc.classes) - ref_rank
+
+
+def test_a_non_member_costs_one_elimination_of_the_incidence_matrix(monkeypatch):
+    # one rref of M gives the pivot points and the kernel; the only other
+    # elimination is the solve of the pivot-point equations, and no column
+    # restriction of M is formed
+    import linsuper.linalg
+    import linsuper.represent
+    from linsuper import RationalMatrix
+
+    eliminated, solved = [], []
+    rref, solve = linsuper.linalg.rref, linsuper.represent.solve
+
+    def counting_rref(m):
+        eliminated.append((m.rows, m.cols))
+        return rref(m)
+
+    def counting_solve(m, b):
+        solved.append((m.rows, m.cols))
+        return solve(m, b)
+
+    def refused(*args):
+        raise AssertionError("restrict_columns was called")
+
+    monkeypatch.setattr(linsuper.linalg, "rref", counting_rref)
+    monkeypatch.setattr(linsuper.represent, "solve", counting_solve)
+    monkeypatch.setattr(RationalMatrix, "restrict_columns", refused)
+    ps, ff = _grid(6)
+    inc = build_incidence(ps, ff)
+    f = random_superposition(random.Random(1), ps, ff)
+    f[ps.ids[17]] += 1
+    result = is_representable(inc, f)
+    assert not result.representable and result.violation_value
+    shape = (inc.matrix.rows, inc.n_points)
+    rank = len(rref(inc.matrix)[1])
+    assert solved == [(rank, inc.matrix.rows)]
+    assert eliminated == [shape, (rank, inc.matrix.rows + 1)]
