@@ -6,9 +6,8 @@ class InputValidationError(ValueError):
 
 
 class ConstraintError(ValueError):
-    """Raised when generator parameters violate a defining constraint.
-
-    The message names the violated clause.
+    """Raised when generator parameters violate a defining constraint or a
+    search exceeds its budget; the message names the clause or the limit.
     """
 
 

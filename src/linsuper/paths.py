@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Literal, Mapping, Sequence
 
-from .errors import ContractViolationError, InputValidationError, InternalInvariantError
+from .errors import ConstraintError, ContractViolationError, InputValidationError, InternalInvariantError
 from .linalg import _ZERO, Vector, integer_primitive, kernel_basis
 from .model import IncidenceMatrix
 
@@ -248,6 +248,9 @@ def decompose_functional(
 
 
 EnumerationMode = Literal["fundamental", "exhaustive"]
+# One DFS node is one restriction and one elimination, 100 us at 39 level
+# classes (README), so the limit stops a search at about ten seconds.
+EXHAUSTIVE_NODE_LIMIT = 100_000
 
 
 def enumerate_minimal(
@@ -261,10 +264,12 @@ def enumerate_minimal(
     representability decision. max_support is ignored here.
 
     exhaustive: every minimal closed path with support size <= max_support,
-    found by depth-first search over independent column sets; adding one
-    column to an independent set either stays independent (extend) or
-    closes exactly one circuit (record, do not extend, since any superset
-    would contain it properly). Exponential; intended for small instances.
+    found by depth-first search over independent column sets of one
+    connected part at a time; adding one column to an independent set
+    either stays independent (extend) or closes exactly one circuit
+    (record, do not extend, since any superset would contain it properly).
+    Exponential; a search past EXHAUSTIVE_NODE_LIMIT nodes raises
+    ConstraintError.
 
     Results are sorted by (support size, support) and deduplicated.
     """
@@ -277,22 +282,40 @@ def enumerate_minimal(
         return sorted(certs, key=lambda cert: (len(cert.support), cert.support))
     if max_support is None or max_support < 2:
         raise InputValidationError("exhaustive enumeration needs max_support >= 2")
+    # A column on no vector of one kernel basis is a coloop, on no circuit.
+    # Each canonical vector is a fundamental circuit, and merging those that
+    # meet gives the connected parts of the matroid: no circuit spans two.
+    full = kernel_basis(inc.matrix)
+    parts: list[set[int]] = []
+    for k in range(len(full)):
+        part = {j for j, _ in full._pairs(k)}
+        for other in [p for p in parts if p & part]:
+            part |= other
+            parts.remove(other)
+        parts.append(part)
     found: dict[tuple[int, ...], ClosedPathCertificate] = {}  # by column indices
+    nodes = 0
 
-    def visit(columns: list[int], start: int) -> None:
-        for j in range(start, inc.n_points):
-            candidate = columns + [j]
+    def visit(part: list[int], columns: list[int], start: int) -> None:
+        nonlocal nodes
+        for i in range(start, len(part)):
+            nodes += 1
+            if nodes > EXHAUSTIVE_NODE_LIMIT:
+                raise ConstraintError(f"exhaustive search exceeds its limit of {EXHAUSTIVE_NODE_LIMIT} nodes; "
+                                      "lower max_support or enumerate in fundamental mode")
+            candidate = columns + [part[i]]
             basis = kernel_basis(inc.matrix.restrict_columns(candidate))
             if not basis:
                 if len(candidate) < max_support:
-                    visit(candidate, j + 1)
+                    visit(part, candidate, i + 1)
                 continue
-            # candidate was independent before j, so the kernel is a line and
-            # its generator's support is the unique circuit through j.
+            # candidate was independent before its last column, so the kernel is
+            # a line and its generator's support is the unique circuit through it.
             pairs = basis._pairs(0)
             circuit = tuple(candidate[c] for c, _ in pairs)
             if circuit not in found:
                 found[circuit] = _circuit([inc.point_ids[c] for c in candidate], pairs)
 
-    visit([], 0)
+    for part in parts:
+        visit(sorted(part), [], 0)
     return sorted(found.values(), key=lambda cert: (len(cert.support), cert.support))

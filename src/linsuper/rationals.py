@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InputValidationError
+from .linalg import _fraction
 
 
 def _digit_limit() -> int:
@@ -42,6 +43,18 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
     Floats are refused: a binary float does not determine the decimal the
     user wrote.
     """
+    if isinstance(value, str):
+        text = value.strip()
+        if text.isascii() and len(text) <= _digit_limit():  # "[+-]p" or "[+-]p/q", q > 0, through int()
+            num, slash, den = text.partition("/")
+            q = int(den) if den.isdigit() else int(not slash)  # 1 with no "/", 0 for a zero or no q
+            if q and (num[1:] if num[:1] in "+-" else num).isdigit():
+                return _fraction(int(num), q)
+        _check_literal_size(text)
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputValidationError(f"cannot parse rational from {value!r}: {exc}") from None
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -52,12 +65,6 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
         raise InputValidationError(
             f"float literal {value!r} is not exact; write it as a string, e.g. \"1/3\" or \"0.25\""
         )
-    if isinstance(value, str):
-        _check_literal_size(value.strip())
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputValidationError(f"cannot parse rational from {value!r}: {exc}") from None
     raise InputValidationError(f"cannot parse rational from {type(value).__name__} {value!r}")
 
 

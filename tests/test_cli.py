@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from linsuper import (
+    InputValidationError,
     build_incidence,
     coordinate_points,
     direction,
@@ -607,6 +608,73 @@ def test_largest_printable_literal_round_trips():
     for text in ("1e4299", "-1e-4299", "7" * 4300, "." + "1" * 4299, "2/" + "3" * 4300):
         value = parse_rational(text)
         assert parse_rational(str(value)) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+3", "-0", " 5 ", "007", "4/2", "-3/6", "1/0", "0/0", "1/-2", "١٢", "²", "1_0", "1e3", "", "/", "1/",
+     "7" * 4300, "7" * 4301],
+    ids=lambda text: text if len(text) < 10 else f"{len(text)}-digits",
+)
+def test_literal_fast_path_parses_as_fraction_does(text):
+    # the int() route for ASCII "[+-]p" and "[+-]p/q" must give what the
+    # size check and Fraction(text) give: the value, or the same message
+    from linsuper.rationals import _check_literal_size
+
+    def reference():
+        _check_literal_size(text.strip())
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputValidationError(f"cannot parse rational from {text!r}: {exc}") from None
+
+    outcomes = []
+    for parse in (lambda: parse_rational(text), reference):
+        try:
+            outcomes.append(parse())
+        except InputValidationError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] and type(outcomes[0]) is type(outcomes[1])
+
+
+def test_integer_literals_take_the_int_route(monkeypatch):
+    import linsuper.rationals
+
+    expected = {"+3": 3, "-0": 0, " 5 ": 5, "007": 7, "4/2": 2, "-3/6": Fraction(-1, 2), "7" * 4300: int("7" * 4300)}
+
+    def refuse(text):
+        raise AssertionError(f"Fraction({text!r}) was called")
+
+    monkeypatch.setattr(linsuper.rationals, "Fraction", refuse)
+    for text, value in expected.items():
+        assert parse_rational(text) == value
+
+
+def test_exhaustive_search_past_its_node_limit_exits_2(monkeypatch, tmp_path, capsys):
+    # 40 points, r = 3, values 0-12, default max_support 8: the full search
+    # is far past the limit; it stops there, counted in eliminations
+    import random
+
+    import linsuper.paths
+
+    rng = random.Random(40)
+    tables = [{str(pid): str(rng.randint(0, 12)) for pid in range(1, 41)} for _ in range(3)]
+    doc = {"format": 1, "points": [{"id": pid} for pid in range(1, 41)], "functions": {"kind": "tabulated", "tables": tables}}
+    path = tmp_path / "forty.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    real = linsuper.paths.kernel_basis
+
+    def counting(m):
+        calls.append(m.cols)
+        return real(m)
+
+    monkeypatch.setattr(linsuper.paths, "kernel_basis", counting)
+    assert main(["circuits", str(path), "--mode", "exhaustive"]) == 2
+    limit = linsuper.paths.EXHAUSTIVE_NODE_LIMIT
+    assert f"limit of {limit} nodes" in capsys.readouterr().err
+    assert calls[0] == 40 and len(calls) == 1 + limit  # the up-front kernel, then one per node
+    assert max(calls[1:]) <= 8
 
 
 def test_parser_is_built_once():

@@ -442,3 +442,67 @@ def test_closed_path_checks_match_a_dense_support_reference(seed):
     assert (result.certificate.support if result.is_minimal else result.counterexample) == circuit
     found = find_minimal_within(inc, support)
     assert found.support == circuit and found.lam == unit_l1([x for x in basis[0] if x])
+
+
+def _two_parts_and_pendants(seed):
+    """An instance of two blocks on disjoint values of every function, each
+    with more points than its rows have rank, plus pendant points that take
+    a value of the first function alone (coloops)."""
+    rng = random.Random(seed)
+    r = rng.randint(2, 3)
+    sizes = (r + 2, rng.randint(r + 2, 5), rng.randint(1, 2))  # block A, block B, pendants
+    tables = [{} for _ in range(r)]
+    pid = 0
+    for block, size in enumerate(sizes):
+        for k in range(size):
+            pid += 1
+            for i, table in enumerate(tables):
+                pendant = block == 2 and i == 0
+                table[pid] = F(100 + k if pendant else (0, 2, 2)[block] + rng.randint(0, 1))
+    ps = abstract_points(list(range(1, pid + 1)))
+    return build_incidence(ps, FunctionFamily(tuple(tables)))
+
+
+def _oracle_parts(inc):
+    """The connected parts of the column matroid, as column sets: the
+    classes of 'lie on one minimal closed path', from the subset oracle."""
+    parts = []
+    for path in oracle_minimal_paths(inc):
+        part = {inc.column_index(pid) for pid in path}
+        for other in [p for p in parts if p & part]:
+            part |= other
+            parts.remove(other)
+        parts.append(part)
+    return parts
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exhaustive_search_with_coloops_and_two_parts_matches_the_oracle(seed):
+    inc = _two_parts_and_pendants(seed)
+    minimal = oracle_minimal_paths(inc)
+    parts = _oracle_parts(inc)
+    assert len(parts) >= 2 and len(set().union(*parts)) < inc.n_points  # the shape asked for
+    for max_support in range(2, inc.n_points + 1):
+        certs = enumerate_minimal(inc, max_support, "exhaustive")
+        assert {frozenset(c.support) for c in certs} == {s for s in minimal if len(s) <= max_support}
+        for cert in certs:
+            assert cert == find_minimal_within(inc, cert.support)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exhaustive_candidates_hold_no_coloop_and_stay_in_one_part(monkeypatch, seed):
+    from linsuper import RationalMatrix
+
+    inc = _two_parts_and_pendants(seed)
+    parts = _oracle_parts(inc)
+    candidates = []
+    real = RationalMatrix.restrict_columns
+
+    def recording(m, keep):
+        candidates.append(set(keep))
+        return real(m, keep)
+
+    monkeypatch.setattr(RationalMatrix, "restrict_columns", recording)
+    enumerate_minimal(inc, inc.n_points, "exhaustive")
+    assert candidates
+    assert all(any(c <= part for part in parts) for c in candidates)
