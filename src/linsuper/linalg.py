@@ -127,16 +127,6 @@ class RationalMatrix:
         data = tuple(_normal(den, {i: n * (den // d) for i, n, d in col}) for col, den in zip(cells, dens))
         return RationalMatrix._from_storage(self.cols, self.rows, data)
 
-    def restrict_columns(self, keep: Sequence[int]) -> "RationalMatrix":
-        for j in keep:
-            if not 0 <= j < self.cols:
-                raise ValueError(f"column index {j} out of range")
-        data = tuple(
-            _normal(den, {k: nums[j] for k, j in enumerate(keep) if j in nums})
-            for den, nums in self._data
-        )
-        return RationalMatrix._from_storage(self.rows, len(keep), data)
-
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):

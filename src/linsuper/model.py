@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import InputValidationError, InternalInvariantError
@@ -189,9 +190,19 @@ class IncidenceMatrix:
         cols = sorted({self.column_index(pid) for pid in point_ids})
         return tuple(self.point_ids[c] for c in cols)
 
-    def restricted(self, support: tuple[int, ...]) -> RationalMatrix:
-        """Columns restricted to the given support ids (in the given order)."""
-        return self.matrix.restrict_columns([self.column_index(pid) for pid in support])
+    @cached_property
+    def _column_rows(self) -> list[dict[int, int]]:
+        """Each column's class rows, as the keys of its row of M^T; built on first use."""
+        return [rows for _, rows in self.matrix.transpose()._data]
+
+    def restricted(self, support: list[int] | tuple[int, ...]) -> RationalMatrix:
+        """Columns restricted to the given support ids (in the given order), on the
+        rows they meet only: a zero row adds nothing to the kernel."""
+        rows: dict[int, dict[int, int]] = {}
+        for c, pid in enumerate(support):
+            for k in self._column_rows[self.column_index(pid)]:
+                rows.setdefault(k, {})[c] = 1
+        return RationalMatrix._from_storage(len(rows), len(support), tuple((1, nums) for nums in rows.values()))
 
 
 def build_incidence(ps: PointSet, ff: FunctionFamily) -> IncidenceMatrix:

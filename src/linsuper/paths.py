@@ -248,9 +248,18 @@ def decompose_functional(
 
 
 EnumerationMode = Literal["fundamental", "exhaustive"]
-# One DFS node is one restriction and one elimination, 100 us at 39 level
-# classes (README), so the limit stops a search at about ten seconds.
+# A DFS node costs at most one elimination of the rows its columns meet, 3-40 us
+# in the README's measurements, so the limit stops a search within seconds.
 EXHAUSTIVE_NODE_LIMIT = 100_000
+
+
+def _closed_by_last(inc: IncidenceMatrix, candidate: list[int], touched: list[int]) -> list[tuple[int, int]] | None:
+    """The circuit that the last column closes on an independent candidate, as kernel
+    pairs, or None. On a row no other column touches, its coefficient is forced to 0."""
+    if not all(touched[k] for k in inc._column_rows[candidate[-1]]):
+        return None
+    basis = kernel_basis(inc.restricted([inc.point_ids[c] for c in candidate]))
+    return basis._pairs(0) if basis else None
 
 
 def enumerate_minimal(
@@ -295,6 +304,7 @@ def enumerate_minimal(
         parts.append(part)
     found: dict[tuple[int, ...], ClosedPathCertificate] = {}  # by column indices
     nodes = 0
+    touched = [0] * inc.matrix.rows  # per class row: the columns of `columns` on it
 
     def visit(part: list[int], columns: list[int], start: int) -> None:
         nonlocal nodes
@@ -304,14 +314,18 @@ def enumerate_minimal(
                 raise ConstraintError(f"exhaustive search exceeds its limit of {EXHAUSTIVE_NODE_LIMIT} nodes; "
                                       "lower max_support or enumerate in fundamental mode")
             candidate = columns + [part[i]]
-            basis = kernel_basis(inc.matrix.restrict_columns(candidate))
-            if not basis:
+            # candidate was independent before its last column, so its kernel is
+            # at most a line and the generator's support is the unique circuit through it.
+            pairs = _closed_by_last(inc, candidate, touched)
+            if pairs is None:
                 if len(candidate) < max_support:
+                    rows = inc._column_rows[part[i]]
+                    for k in rows:
+                        touched[k] += 1
                     visit(part, candidate, i + 1)
+                    for k in rows:
+                        touched[k] -= 1
                 continue
-            # candidate was independent before its last column, so the kernel is
-            # a line and its generator's support is the unique circuit through it.
-            pairs = basis._pairs(0)
             circuit = tuple(candidate[c] for c, _ in pairs)
             if circuit not in found:
                 found[circuit] = _circuit([inc.point_ids[c] for c in candidate], pairs)

@@ -10,8 +10,9 @@ package is what makes the cross-checks in the test suite meaningful.
 
 `dense_rref`, `dense_kernel` and `dense_solve` are a plain dense Gauss-Jordan
 over Fraction, the reference the sparse elimination engine must match;
-`dense_product` and `unit_l1` are the plain products and scalings that
-annihilation and normalization checks compare against.
+`dense_columns`, `dense_product` and `unit_l1` are the plain restrictions,
+products and scalings that storage, annihilation and normalization checks
+compare against.
 """
 
 from __future__ import annotations
@@ -75,6 +76,91 @@ def oracle_closed_subsets(inc: IncidenceMatrix) -> list[frozenset[int]]:
 def oracle_minimal_paths(inc: IncidenceMatrix) -> set[frozenset[int]]:
     closed = oracle_closed_subsets(inc)
     return {s for s in closed if not any(t < s for t in closed)}
+
+
+def oracle_parts(inc: IncidenceMatrix) -> list[set[int]]:
+    """The connected parts of the column matroid, as column sets: the
+    classes of 'lie on one minimal closed path', from the subset oracle."""
+    parts: list[set[int]] = []
+    for path in oracle_minimal_paths(inc):
+        part = {inc.column_index(pid) for pid in path}
+        for other in [p for p in parts if p & part]:
+            part |= other
+            parts.remove(other)
+        parts.append(part)
+    return parts
+
+
+def oracle_dfs_nodes(inc: IncidenceMatrix, max_support: int) -> int:
+    """The node count of the exhaustive circuit search: the increasing column
+    sequences within one connected part, of length <= max_support, whose
+    proper prefix is independent (only an independent candidate is extended)."""
+    rows = integer_rows(inc)
+    nodes = 0
+    for part in oracle_parts(inc):
+        cols = sorted(part)
+        for k in range(max_support):
+            for prefix in combinations(cols, k):
+                if oracle_rank(rows, list(prefix)) == k:
+                    nodes += sum(1 for c in cols if not prefix or c > prefix[-1])
+    return nodes
+
+
+def _class_graph(inc: IncidenceMatrix) -> dict[int, tuple[int, int]]:
+    """Two functions: each point is an edge between its two level classes (rows)."""
+    ends: dict[int, list[int]] = {}
+    for k, cls in enumerate(inc.classes):
+        for pid in cls.members:
+            ends.setdefault(pid, []).append(k)
+    if any(len(pair) != 2 for pair in ends.values()):
+        raise ValueError("the class graph needs exactly two functions")
+    return {pid: (a, b) for pid, (a, b) in ends.items()}
+
+
+def class_graph_nullity(inc: IncidenceMatrix) -> int:
+    """Two functions: the points that close a cycle of the class graph, by union-find.
+    The unsigned incidence matrix of a bipartite graph has the graph's cycle space
+    as kernel, so this is its nullity."""
+    parent = list(range(len(inc.classes)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    nullity = 0
+    for a, b in _class_graph(inc).values():
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            nullity += 1
+        else:
+            parent[ra] = rb
+    return nullity
+
+
+def class_graph_cycles(inc: IncidenceMatrix, max_support: int) -> set[frozenset[int]]:
+    """Two functions: the simple cycles of the class graph with at most
+    max_support edges, as sets of point ids; two points on the same two
+    classes are a 2-cycle. These are the minimal closed paths."""
+    adjacent: dict[int, list[tuple[int, int]]] = {}
+    for pid, (a, b) in _class_graph(inc).items():
+        adjacent.setdefault(a, []).append((b, pid))
+        adjacent.setdefault(b, []).append((a, pid))
+    cycles: set[frozenset[int]] = set()
+
+    def walk(start: int, v: int, seen: set[int], edges: frozenset[int]) -> None:
+        # the path from start to v has the edges given; start is the least vertex of the cycle
+        for w, pid in adjacent[v]:
+            if pid in edges:
+                continue
+            if w == start:
+                cycles.add(edges | {pid})
+            elif w > start and w not in seen and len(edges) + 1 < max_support:
+                walk(start, w, seen | {w}, edges | {pid})
+
+    for start in adjacent:
+        walk(start, start, {start}, frozenset())
+    return cycles
 
 
 def random_instance(
@@ -157,6 +243,12 @@ def dense_solve(rows: list[list[Fraction]], b: list[Fraction], cols: int):
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][cols]
     return tuple(x), None, len(pivots)
+
+
+def dense_columns(m: RationalMatrix, keep: list[int]) -> RationalMatrix:
+    """The matrix of the kept columns, in the given order, built from its dense rows."""
+    rows = [m.row(i) for i in range(m.rows)]
+    return RationalMatrix(m.rows, len(keep), [row[j] for row in rows for j in keep])
 
 
 def dense_product(m: RationalMatrix, v) -> tuple[Fraction, ...]:

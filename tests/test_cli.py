@@ -20,6 +20,7 @@ from linsuper import (
 )
 from linsuper.cli import load_instance, main, parse_instance_text
 from linsuper.paths import ClosedPathCertificate
+from oracles import oracle_dfs_nodes
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -652,7 +653,8 @@ def test_integer_literals_take_the_int_route(monkeypatch):
 
 def test_exhaustive_search_past_its_node_limit_exits_2(monkeypatch, tmp_path, capsys):
     # 40 points, r = 3, values 0-12, default max_support 8: the full search
-    # is far past the limit; it stops there, counted in eliminations
+    # is far past the limit; it stops there, counted in nodes (each asks what
+    # its last point closes, whether or not that needs an elimination)
     import random
 
     import linsuper.paths
@@ -662,19 +664,43 @@ def test_exhaustive_search_past_its_node_limit_exits_2(monkeypatch, tmp_path, ca
     doc = {"format": 1, "points": [{"id": pid} for pid in range(1, 41)], "functions": {"kind": "tabulated", "tables": tables}}
     path = tmp_path / "forty.json"
     path.write_text(json.dumps(doc))
-    calls = []
-    real = linsuper.paths.kernel_basis
+    sizes = []
+    real = linsuper.paths._closed_by_last
 
-    def counting(m):
-        calls.append(m.cols)
-        return real(m)
+    def counting(inc, candidate, touched):
+        sizes.append(len(candidate))
+        return real(inc, candidate, touched)
 
-    monkeypatch.setattr(linsuper.paths, "kernel_basis", counting)
+    monkeypatch.setattr(linsuper.paths, "_closed_by_last", counting)
     assert main(["circuits", str(path), "--mode", "exhaustive"]) == 2
     limit = linsuper.paths.EXHAUSTIVE_NODE_LIMIT
+    assert limit == 100_000
     assert f"limit of {limit} nodes" in capsys.readouterr().err
-    assert calls[0] == 40 and len(calls) == 1 + limit  # the up-front kernel, then one per node
-    assert max(calls[1:]) <= 8
+    assert len(sizes) == limit and max(sizes) == 8
+
+
+def test_exhaustive_node_limit_counts_every_node_of_the_search(monkeypatch, tmp_path, capsys):
+    # the nodes counted by the oracle: increasing point sequences within one
+    # connected part, up to max_support long, whose proper prefix is independent
+    import random
+
+    import linsuper.paths
+
+    rng = random.Random(12)
+    tables = [{str(pid): str(rng.randint(0, 2)) for pid in range(1, 11)} for _ in range(3)]
+    doc = {"format": 1, "points": [{"id": pid} for pid in range(1, 11)], "functions": {"kind": "tabulated", "tables": tables}}
+    path = tmp_path / "ten.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_instance(path)
+    nodes = oracle_dfs_nodes(build_incidence(loaded.points, loaded.family), 6)
+    assert nodes > 100
+    argv = ["circuits", str(path), "--mode", "exhaustive", "--max-support", "6"]
+    monkeypatch.setattr(linsuper.paths, "EXHAUSTIVE_NODE_LIMIT", nodes)
+    assert main(argv) == 1  # circuits found
+    monkeypatch.setattr(linsuper.paths, "EXHAUSTIVE_NODE_LIMIT", nodes - 1)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"limit of {nodes - 1} nodes" in capsys.readouterr().err
 
 
 def test_parser_is_built_once():

@@ -9,6 +9,7 @@ from linsuper import (
     ClosedPathCertificate,
     ContractViolationError,
     FunctionFamily,
+    IncidenceMatrix,
     InputValidationError,
     abstract_points,
     build_incidence,
@@ -29,10 +30,13 @@ from linsuper import (
 
 from examples import five_point_path, simplex_corners, six_point_path, unit_grid
 from oracles import (
+    class_graph_cycles,
+    class_graph_nullity,
     dense_kernel,
     dense_product,
     oracle_is_closed,
     oracle_minimal_paths,
+    oracle_parts,
     integer_rows,
     random_instance,
     random_superposition,
@@ -463,24 +467,11 @@ def _two_parts_and_pendants(seed):
     return build_incidence(ps, FunctionFamily(tuple(tables)))
 
 
-def _oracle_parts(inc):
-    """The connected parts of the column matroid, as column sets: the
-    classes of 'lie on one minimal closed path', from the subset oracle."""
-    parts = []
-    for path in oracle_minimal_paths(inc):
-        part = {inc.column_index(pid) for pid in path}
-        for other in [p for p in parts if p & part]:
-            part |= other
-            parts.remove(other)
-        parts.append(part)
-    return parts
-
-
 @pytest.mark.parametrize("seed", range(6))
 def test_exhaustive_search_with_coloops_and_two_parts_matches_the_oracle(seed):
     inc = _two_parts_and_pendants(seed)
     minimal = oracle_minimal_paths(inc)
-    parts = _oracle_parts(inc)
+    parts = oracle_parts(inc)
     assert len(parts) >= 2 and len(set().union(*parts)) < inc.n_points  # the shape asked for
     for max_support in range(2, inc.n_points + 1):
         certs = enumerate_minimal(inc, max_support, "exhaustive")
@@ -491,18 +482,47 @@ def test_exhaustive_search_with_coloops_and_two_parts_matches_the_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_exhaustive_candidates_hold_no_coloop_and_stay_in_one_part(monkeypatch, seed):
-    from linsuper import RationalMatrix
+    # every node asks what its last column closes, also the nodes that need no elimination
+    import linsuper.paths
 
     inc = _two_parts_and_pendants(seed)
-    parts = _oracle_parts(inc)
-    candidates = []
-    real = RationalMatrix.restrict_columns
+    parts = oracle_parts(inc)
+    candidates, eliminated = [], []
+    real_closed, real_restrict = linsuper.paths._closed_by_last, IncidenceMatrix.restricted
 
-    def recording(m, keep):
-        candidates.append(set(keep))
-        return real(m, keep)
+    def recording(inc, candidate, touched):
+        candidates.append(set(candidate))
+        return real_closed(inc, candidate, touched)
 
-    monkeypatch.setattr(RationalMatrix, "restrict_columns", recording)
+    def restricting(inc, support):
+        eliminated.append({inc.column_index(pid) for pid in support})
+        return real_restrict(inc, support)
+
+    monkeypatch.setattr(linsuper.paths, "_closed_by_last", recording)
+    monkeypatch.setattr(IncidenceMatrix, "restricted", restricting)
     enumerate_minimal(inc, inc.n_points, "exhaustive")
-    assert candidates
-    assert all(any(c <= part for part in parts) for c in candidates)
+    assert candidates and all(any(c <= part for part in parts) for c in candidates)
+    assert eliminated and len(eliminated) < len(candidates)
+    assert all(c in candidates for c in eliminated)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exhaustive_search_on_two_functions_finds_the_cycles_of_the_class_graph(seed):
+    # r = 2: classes are vertices and points edges of a bipartite graph, whose
+    # cycles are the minimal closed paths; a referee with no elimination, for
+    # instances far past the reach of the subset oracle
+    rng = random.Random(seed)
+    found = 0
+    for _ in range(15):
+        n, top = rng.randint(2, 30), rng.randint(1, 7)
+        ps = abstract_points(list(range(1, n + 1)))
+        inc = build_incidence(ps, FunctionFamily(tuple({pid: F(rng.randint(0, top)) for pid in ps.ids} for _ in range(2))))
+        assert len(kernel_basis(inc.matrix)) == class_graph_nullity(inc)
+        max_support = rng.randint(2, 4 if n > 20 else 6)
+        certs = enumerate_minimal(inc, max_support, "exhaustive")
+        assert {frozenset(c.support) for c in certs} == class_graph_cycles(inc, max_support)
+        for cert in certs:  # an even cycle, with alternating signs
+            half = len(cert.support) // 2
+            assert sorted(cert.integer_lambda()) == [-1] * half + [1] * half
+        found += len(certs)
+    assert found

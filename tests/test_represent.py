@@ -266,7 +266,7 @@ def test_a_non_member_costs_one_elimination_of_the_incidence_matrix(monkeypatch)
     # restriction of M is formed
     import linsuper.linalg
     import linsuper.represent
-    from linsuper import RationalMatrix
+    from linsuper import IncidenceMatrix
 
     eliminated, solved = [], []
     rref, solve = linsuper.linalg.rref, linsuper.represent.solve
@@ -280,11 +280,11 @@ def test_a_non_member_costs_one_elimination_of_the_incidence_matrix(monkeypatch)
         return solve(m, b)
 
     def refused(*args):
-        raise AssertionError("restrict_columns was called")
+        raise AssertionError("IncidenceMatrix.restricted was called")
 
     monkeypatch.setattr(linsuper.linalg, "rref", counting_rref)
     monkeypatch.setattr(linsuper.represent, "solve", counting_solve)
-    monkeypatch.setattr(RationalMatrix, "restrict_columns", refused)
+    monkeypatch.setattr(IncidenceMatrix, "restricted", refused)
     ps, ff = _grid(6)
     inc = build_incidence(ps, ff)
     f = random_superposition(random.Random(1), ps, ff)
