@@ -16,7 +16,6 @@ from .errors import (
 from .linalg import (
     RationalMatrix,
     SolveResult,
-    dot,
     integer_primitive,
     kernel_basis,
     rank,

@@ -53,12 +53,6 @@ def _row(values: Iterable[Fraction | int]) -> Row:
     return den, {j: x.numerator * (den // x.denominator) for j, x in nonzero}
 
 
-def _normal(den: int, nums: dict[int, int]) -> Row:
-    """The row divided by the common factor of its denominator and numerators."""
-    g = 1 if den == 1 else gcd(den, *nums.values())
-    return (den, nums) if g == 1 else (den // g, {j: n // g for j, n in nums.items()})
-
-
 class RationalMatrix:
     """Immutable matrix of rationals, stored as one integer row per row.
 
@@ -87,11 +81,6 @@ class RationalMatrix:
         m.rows, m.cols, m._data = rows, cols, data
         return m
 
-    @classmethod
-    def _zero_one(cls, cols: int, supports: Sequence[Iterable[int]]) -> "RationalMatrix":
-        """The 0/1 matrix whose row i has its ones in the columns supports[i]."""
-        return cls._from_storage(len(supports), cols, tuple((1, dict.fromkeys(s, 1)) for s in supports))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
@@ -111,27 +100,6 @@ class RationalMatrix:
     def row(self, i: int) -> Vector:
         den, nums = self._data[i]
         return _dense(self.cols, ((j, _fraction(n, den)) for j, n in nums.items()))
-
-    def transpose(self) -> "RationalMatrix":
-        if all(den == 1 for den, _ in self._data):  # integer rows (every incidence matrix)
-            columns: list[dict[int, int]] = [{} for _ in range(self.cols)]
-            for i, (_, nums) in enumerate(self._data):
-                for j, n in nums.items():
-                    columns[j][i] = n
-            return RationalMatrix._from_storage(self.cols, self.rows, tuple((1, c) for c in columns))
-        cells: list[list[tuple[int, int, int]]] = [[] for _ in range(self.cols)]
-        for i, (den, nums) in enumerate(self._data):
-            for j, n in nums.items():
-                cells[j].append((i, n, den))
-        dens = [lcm(*(d for _, _, d in column)) for column in cells]
-        data = tuple(_normal(den, {i: n * (den // d) for i, n, d in col}) for col, den in zip(cells, dens))
-        return RationalMatrix._from_storage(self.cols, self.rows, data)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("dot product of vectors with different lengths")
-    return sum((a * b for a, b in zip(u, v) if a is not _ZERO and a and b), _ZERO)
 
 
 def _reduce(row: dict[int, int], prow: dict[int, int], pc: int) -> None:

@@ -161,19 +161,26 @@ def build_level_classes(ps: PointSet, ff: FunctionFamily) -> tuple[LevelClass, .
 class IncidenceMatrix:
     """Zero-one matrix of level classes (rows) against points (columns).
 
-    Row k corresponds to classes[k]; column j to point_ids[j], in point-set
-    order. A vector lambda over the points annihilates all superpositions
-    of the family exactly when matrix . lambda = 0.
+    Row k corresponds to classes[k], column j to point_ids[j], in point-set
+    order. The classes' column lists are the only storage: `matrix` (the 0/1
+    rows) and `_column_rows` (each point's class rows, the rows of M^T) are
+    views read off them on first use. `r`, the number of functions, sizes the
+    g-tables even where there are no classes. A vector lambda over the points
+    annihilates all superpositions of the family exactly when matrix . lambda = 0.
     """
 
-    matrix: RationalMatrix
     classes: tuple[LevelClass, ...]
     point_ids: tuple[int, ...]
-    _index: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
+    r: int
 
-    def __post_init__(self) -> None:
-        if not self._index:
-            object.__setattr__(self, "_index", {pid: j for j, pid in enumerate(self.point_ids)})
+    @cached_property
+    def matrix(self) -> RationalMatrix:
+        data = tuple((1, dict.fromkeys(cls.columns, 1)) for cls in self.classes)
+        return RationalMatrix._from_storage(len(data), len(self.point_ids), data)
+
+    @cached_property
+    def _index(self) -> dict[int, int]:
+        return {pid: j for j, pid in enumerate(self.point_ids)}
 
     @property
     def n_points(self) -> int:
@@ -192,8 +199,12 @@ class IncidenceMatrix:
 
     @cached_property
     def _column_rows(self) -> list[dict[int, int]]:
-        """Each column's class rows, as the keys of its row of M^T; built on first use."""
-        return [rows for _, rows in self.matrix.transpose()._data]
+        """Each column's class rows as {row: 1}, its row of M^T; built on first use."""
+        rows: list[dict[int, int]] = [{} for _ in self.point_ids]
+        for k, cls in enumerate(self.classes):
+            for j in cls.columns:
+                rows[j][k] = 1
+        return rows
 
     def restricted(self, support: list[int] | tuple[int, ...]) -> RationalMatrix:
         """Columns restricted to the given support ids (in the given order), on the
@@ -206,9 +217,7 @@ class IncidenceMatrix:
 
 
 def build_incidence(ps: PointSet, ff: FunctionFamily) -> IncidenceMatrix:
-    classes = build_level_classes(ps, ff)
-    matrix = RationalMatrix._zero_one(len(ps), [cls.columns for cls in classes])
-    return IncidenceMatrix(matrix, classes, ps.ids)
+    return IncidenceMatrix(build_level_classes(ps, ff), ps.ids, ff.r)
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,9 @@ def _column_values(inc: IncidenceMatrix, f: FunctionTable) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Univariate tables g_i on the observed values of h_i, plus the implied
-    reconstruction. Off the observed values the g_i are taken to be zero.
+    """Univariate tables g_i on the observed values of h_i, one per function.
+    Off the observed values the g_i are taken to be zero. `reconstruction` is
+    the target as given (point id -> value), which the tables give back.
 
     `freedom` is the dimension of the affine space of all valid g-tables;
     the decomposition with every free unknown zeroed is the canonical one.
@@ -73,8 +74,8 @@ def is_representable(inc: IncidenceMatrix, f: FunctionTable) -> RepresentationRe
     # M^T g = f give the canonical g and the rank of the whole system
     free = set(basis._free)
     pivots = [j for j in range(inc.n_points) if j not in free]
-    rows = inc.matrix.transpose()._data
-    equations = RationalMatrix._from_storage(len(pivots), inc.matrix.rows, tuple(rows[j] for j in pivots))
+    rows = inc._column_rows
+    equations = RationalMatrix._from_storage(len(pivots), len(inc.classes), tuple((1, rows[j]) for j in pivots))
     outcome = solve(equations, [values[j] for j in pivots])
     if outcome.solution is None:  # pragma: no cover - independent equations are consistent
         raise InternalInvariantError("the pivot-point equations are inconsistent")
@@ -89,7 +90,7 @@ def is_representable(inc: IncidenceMatrix, f: FunctionTable) -> RepresentationRe
     fs, gs = common // fden, common // gden
     bad = next((j for j, total in enumerate(sums) if total * gs != fnums.get(j, 0) * fs), None)
     if bad is None:  # a member exactly when g reconstructs f at every point
-        tables = tuple({} for _ in range(max((cls.function_index + 1 for cls in inc.classes), default=0)))
+        tables = tuple({} for _ in range(inc.r))
         for cls, value in zip(inc.classes, g):
             tables[cls.function_index][cls.value] = value
         freedom = len(inc.classes) - outcome.rank

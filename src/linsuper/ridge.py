@@ -22,7 +22,7 @@ from math import floor, lcm
 from typing import Literal, Sequence
 
 from .errors import ConstraintError, InputValidationError, InternalInvariantError
-from .linalg import _ONE, _ZERO, RationalMatrix, Vector, dot, kernel_basis, solve
+from .linalg import _ONE, _ZERO, RationalMatrix, Vector, kernel_basis, solve
 from .model import FunctionFamily, PointSet, build_incidence, coordinate_points
 from .paths import ClosedPathCertificate, _circuit, certificate_from_kernel_vector, detect, verify_certificate
 
@@ -418,7 +418,7 @@ def _build_parallel_lines(params: ParallelLinesParams) -> Sample:
     if all(x == 0 for x in w):
         raise ConstraintError("line direction must be nonzero")
     for idx, dirn in enumerate(params.directions):
-        if dot(dirn.vector, w) == 0:
+        if sum(a * b for a, b in zip(dirn.vector, w)) == 0:
             raise ConstraintError(
                 f"line is perpendicular to direction {idx}: the level sets of that "
                 "direction contain whole line segments"

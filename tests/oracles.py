@@ -10,9 +10,10 @@ package is what makes the cross-checks in the test suite meaningful.
 
 `dense_rref`, `dense_kernel` and `dense_solve` are a plain dense Gauss-Jordan
 over Fraction, the reference the sparse elimination engine must match;
-`dense_columns`, `dense_product` and `unit_l1` are the plain restrictions,
-products and scalings that storage, annihilation and normalization checks
-compare against.
+`dense_columns`, `dense_transpose`, `dense_product` and `unit_l1` are the
+plain restrictions, transposes, products and scalings that storage,
+annihilation and normalization checks compare against, and `recombined` sums
+a decomposition's g-tables through the family at every point.
 """
 
 from __future__ import annotations
@@ -249,6 +250,19 @@ def dense_columns(m: RationalMatrix, keep: list[int]) -> RationalMatrix:
     """The matrix of the kept columns, in the given order, built from its dense rows."""
     rows = [m.row(i) for i in range(m.rows)]
     return RationalMatrix(m.rows, len(keep), [row[j] for row in rows for j in keep])
+
+
+def dense_transpose(m: RationalMatrix) -> RationalMatrix:
+    """m^T, built from its dense rows."""
+    rows = [m.row(i) for i in range(m.rows)]
+    return RationalMatrix(m.cols, m.rows, [row[j] for j in range(m.cols) for row in rows])
+
+
+def recombined(ff: FunctionFamily, tables, ids) -> dict[int, Fraction]:
+    """g_1(h_1(x)) + ... + g_r(h_r(x)) at each point id, each g_i zero off its
+    table; the family and the tables must have one entry per function."""
+    pairs = list(zip(tables, ff.tables, strict=True))
+    return {pid: sum((g.get(h[pid], Fraction(0)) for g, h in pairs), Fraction(0)) for pid in ids}
 
 
 def dense_product(m: RationalMatrix, v) -> tuple[Fraction, ...]:

@@ -38,7 +38,7 @@ from linsuper import (
 from linsuper.cli import main
 
 from examples import broken_line, five_point_path, six_point_path, unit_grid
-from oracles import dense_product, oracle_minimal_paths, random_instance, random_table
+from oracles import dense_product, oracle_minimal_paths, random_instance, random_table, recombined
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -119,7 +119,7 @@ def test_criterion_4_membership_round_trip(pool500):
                 f = random_table(rng, ps.ids)
                 result = is_representable(inc, f)
                 assert result.representable
-                assert result.decomposition.reconstruction == f
+                assert recombined(ff, result.decomposition.tables, ps.ids) == f
         else:
             witness = make_witness(cert, ps)
             result = is_representable(inc, witness.f0)

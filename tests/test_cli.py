@@ -132,6 +132,16 @@ def test_empty_point_list_is_pathfree(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_represent_on_an_empty_instance_prints_one_g_table_per_function(tmp_path, capsys):
+    doc = {"format": 1, "points": [], "functions": {"kind": "tabulated", "tables": [{}, {}, {}]}, "target": {}}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["represent", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["g_tables"] == [{"function": i, "values": {}} for i in range(3)]
+    assert (report["representable"], report["freedom"]) == (True, 0)
+
+
 def test_missing_target_is_usage_error(capsys):
     assert main(["represent", str(FIXTURES / "five_point_path.json")]) == 2
     assert "target" in capsys.readouterr().err

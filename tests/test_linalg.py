@@ -16,7 +16,6 @@ from linsuper import (
     coordinate_points,
     detect,
     direction,
-    dot,
     enumerate_minimal,
     integer_primitive,
     is_representable,
@@ -33,6 +32,7 @@ from oracles import (
     dense_product,
     dense_rref,
     dense_solve,
+    dense_transpose,
     random_instance,
     random_table,
 )
@@ -207,10 +207,12 @@ def test_integer_primitive_is_the_content_one_multiple_with_a_positive_lead(vec)
     assert math.gcd(*(x.numerator for x in out)) == 1
 
 
-def test_dot_and_transpose():
+def test_dense_transpose_reference():
+    # the reference transpose the engine tests below feed M^T through
     m = M([[1, 2, 3], [4, 5, 6]])
-    assert m.transpose().transpose() == m
-    assert dot((F(1), F(2)), (F(3), F(4))) == 11
+    assert dense_transpose(m) == M([[1, 4], [2, 5], [3, 6]])
+    assert dense_transpose(dense_transpose(m)) == m
+    assert dense_transpose(RationalMatrix(2, 0, [])) == RationalMatrix(0, 2, [])
 
 
 def test_restrict_columns():
@@ -283,7 +285,7 @@ def test_engine_matches_dense_reference_on_incidence_matrices():
         inc = build_incidence(ps, ff)
         values = random_table(rng, ps.ids)
         assert_engine_matches_reference(inc.matrix, [F(0)] * inc.matrix.rows)
-        transposed = inc.matrix.transpose()
+        transposed = dense_transpose(inc.matrix)
         assert_engine_matches_reference(transposed, [values[pid] for pid in ps.ids])
 
 
@@ -294,7 +296,7 @@ def test_engine_matches_dense_reference_on_transposed_broken_lines():
     rng = random.Random(20261018)
     for count in (2, 7, 24, 60):
         ps, ff = broken_line(count)
-        transposed = build_incidence(ps, ff).matrix.transpose()
+        transposed = dense_transpose(build_incidence(ps, ff).matrix)
         target = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(count)]
         assert_engine_matches_reference(transposed, target)
         order = rng.sample(range(count), count)
@@ -426,7 +428,7 @@ def test_views_match_dense_computation(table, data):
     rows, cols, flat = table
     m = RationalMatrix(rows, cols, tuple(flat))
     dense = [flat[i * cols : (i + 1) * cols] for i in range(rows)]
-    assert m.transpose().entries == tuple(dense[i][j] for j in range(cols) for i in range(rows))
+    assert dense_transpose(m).entries == tuple(dense[i][j] for j in range(cols) for i in range(rows))
     keep = data.draw(st.lists(st.integers(0, cols - 1), max_size=6), label="keep") if cols else []
     assert dense_columns(m, keep).entries == tuple(row[j] for row in dense for j in keep)
 
@@ -441,7 +443,7 @@ def test_equal_matrices_compare_and_hash_equal(table, extra):
     widened = M([row + [extra[i]] for i, row in enumerate(dense)], cols + 1)
     same = [
         RationalMatrix(rows, cols, [x for row in as_ints for x in row]),
-        m.transpose().transpose(),
+        dense_transpose(dense_transpose(m)),
         dense_columns(m, list(range(cols))),
         dense_columns(widened, list(range(cols))),
     ]

@@ -25,7 +25,7 @@ from linsuper import (
 )
 
 from examples import five_point_path
-from oracles import dense_product, random_instance, random_superposition, random_table
+from oracles import dense_product, dense_transpose, random_instance, random_superposition, random_table
 
 F = Fraction
 
@@ -103,6 +103,21 @@ def test_counting_invariants(seed):
         assert sum(inc.matrix.row(i)) == len(cls.members)
         assert sorted(cls.columns) == sorted(map(ps.ids.index, cls.members))
     assert sum(inc.matrix.entries) == r * n
+
+
+@given(st.integers(0, 10_000))
+def test_matrix_and_per_point_rows_are_views_of_the_classes(seed):
+    # the classes' column lists are the one storage: the rows of M carry their
+    # ones, and each point's cached rows are its row of M^T
+    ps, ff = instances(seed)
+    inc = build_incidence(ps, ff)
+    assert (inc.classes, inc.point_ids, inc.r) == (build_level_classes(ps, ff), ps.ids, ff.r)
+    assert [{j for j, x in enumerate(inc.matrix.row(k)) if x} for k in range(inc.matrix.rows)] == [
+        set(cls.columns) for cls in inc.classes
+    ]
+    assert (inc.matrix.rows, inc.matrix.cols) == (len(inc.classes), len(ps))
+    transposed = dense_transpose(inc.matrix)
+    assert inc._column_rows == [{k: 1 for k, x in enumerate(transposed.row(j)) if x} for j in range(len(ps))]
 
 
 @given(st.integers(0, 10_000), st.integers(0, 10_000))

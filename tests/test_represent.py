@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from linsuper import (
     ClosedPathCertificate,
+    FunctionFamily,
     InputValidationError,
+    abstract_points,
     build_incidence,
     coordinate_functions,
     coordinate_points,
     detect,
+    enumerate_minimal,
     is_representable,
     make_witness,
     representable_by_orthogonality,
@@ -19,7 +22,15 @@ from linsuper import (
 )
 
 from examples import broken_line, five_point_path, simplex_corners
-from oracles import dense_kernel, dense_product, dense_solve, random_instance, random_superposition, random_table
+from oracles import (
+    dense_kernel,
+    dense_product,
+    dense_solve,
+    random_instance,
+    random_superposition,
+    random_table,
+    recombined,
+)
 from permissibility import verify_permissible_implication
 
 F = Fraction
@@ -38,7 +49,7 @@ def test_pathfree_instance_represents_anything():
         f = random_table(rng, ps.ids)
         result = is_representable(inc, f)
         assert result.representable
-        assert result.decomposition.reconstruction == dict(f)
+        assert recombined(ff, result.decomposition.tables, ps.ids) == f
 
 
 @given(st.integers(0, 5_000))
@@ -50,7 +61,41 @@ def test_constructed_superpositions_are_members(seed):
     f = random_superposition(rng, ps, ff)
     result = is_representable(inc, f)
     assert result.representable
-    assert result.decomposition.reconstruction == f
+    assert recombined(ff, result.decomposition.tables, ps.ids) == f
+
+
+def test_every_function_gets_a_g_table_on_any_point_set():
+    # the tables are sized by the family, not by the classes: an empty point
+    # set has no classes but still three functions
+    empty = is_representable(build_incidence(abstract_points([]), FunctionFamily(({}, {}, {}))), {})
+    assert empty.representable
+    assert (empty.decomposition.tables, empty.decomposition.freedom) == (({}, {}, {}), 0)
+    ff = FunctionFamily(({7: F(0)}, {7: F(1)}, {7: F(2)}))
+    single = is_representable(build_incidence(abstract_points([7]), ff), {7: F(5)})
+    assert len(single.decomposition.tables) == 3
+    assert recombined(ff, single.decomposition.tables, [7]) == {7: F(5)}
+
+
+def test_a_reused_incidence_answers_as_a_fresh_one():
+    # membership hands the cached per-point rows to solve without a copy and
+    # the exhaustive search reads them too: no call may change them, so every
+    # answer on a reused incidence is the answer on a freshly built one
+    rng = random.Random(20261020)
+    non_members = 0
+    for _ in range(80):
+        ps, ff = random_instance(rng, max_points=9, max_functions=3, values=(0, 1, 2))
+        inc = build_incidence(ps, ff)
+        targets = (random_superposition(rng, ps, ff), random_table(rng, ps.ids))
+        first = [is_representable(inc, f) for f in targets]
+        circuits = enumerate_minimal(inc, len(ps), "exhaustive")
+        again = [is_representable(inc, f) for f in targets]
+        fresh = build_incidence(ps, ff)
+        assert first == again == [is_representable(fresh, f) for f in targets]
+        assert circuits == enumerate_minimal(fresh, len(ps), "exhaustive")
+        assert inc._column_rows == fresh._column_rows and inc.matrix == fresh.matrix
+        assert first[0].representable
+        non_members += not first[1].representable
+    assert non_members > 20
 
 
 def test_witness_of_five_point_path_rejected(inc5):
