@@ -104,17 +104,27 @@ def coordinate_functions(ps: PointSet) -> FunctionFamily:
     return FunctionFamily(tables)
 
 
-@dataclass(frozen=True)
 class LevelClass:
     """All points on which one function takes one value; keyed by (index, value).
 
-    `columns` are the members' positions in the point set.
+    `columns`, the members' positions in the point set, are the one storage;
+    `members`, their ids, is read off `point_ids` on first use. Equality and
+    hashing go by (function index, value, members).
     """
 
-    function_index: int
-    value: Fraction
-    members: frozenset[int]
-    columns: list[int] = field(repr=False, compare=False)
+    def __init__(self, function_index: int, value: Fraction, columns: list[int], point_ids: tuple[int, ...]) -> None:
+        self.function_index, self.value, self.columns, self._point_ids = function_index, value, columns, point_ids
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(map(self._point_ids.__getitem__, self.columns))
+
+    def __eq__(self, other: object) -> bool:
+        key = (self.function_index, self.value, self.members)
+        return isinstance(other, LevelClass) and key == (other.function_index, other.value, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.function_index, self.value, self.members))
 
 
 def build_level_classes(ps: PointSet, ff: FunctionFamily) -> tuple[LevelClass, ...]:
@@ -153,7 +163,7 @@ def build_level_classes(ps: PointSet, ff: FunctionFamily) -> tuple[LevelClass, .
             raise InternalInvariantError(f"the classes of function {i} do not partition the points")
         for key in sorted(groups):
             columns = groups[key]
-            classes.append(LevelClass(i, values[columns[0]], frozenset(map(ids.__getitem__, columns)), columns))
+            classes.append(LevelClass(i, values[columns[0]], columns, ids))
     return tuple(classes)
 
 

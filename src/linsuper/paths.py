@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Literal, Mapping, Sequence
 
 from .errors import ConstraintError, ContractViolationError, InputValidationError, InternalInvariantError
-from .linalg import _ZERO, Vector, integer_primitive, kernel_basis
+from .linalg import _ZERO, Vector, _fraction, _row, integer_primitive, kernel_basis
 from .model import IncidenceMatrix
 
 
@@ -42,18 +42,30 @@ class ClosedPathCertificate:
     minimal: bool | None = None
 
     def __post_init__(self) -> None:
+        den = lcm(*(x.denominator for x in self.lam))
+        self._check([x.numerator * (den // x.denominator) for x in self.lam], den)
+
+    @classmethod
+    def _of(cls, support: tuple[int, ...], nums: Sequence[int], den: int, normalized=False, minimal=None):
+        """The certificate lam = nums / den, checked on these integers; one Fraction per distinct value."""
+        lam = {n: _fraction(n, den) for n in set(nums)}
+        cert = cls.__new__(cls)
+        cert.__dict__.update(support=support, lam=tuple(map(lam.__getitem__, nums)), normalized=normalized, minimal=minimal)
+        cert._check(nums, den)
+        return cert
+
+    def _check(self, nums: Sequence[int], den: int) -> None:
+        """Every check runs on one integer form, lam = nums / den; `_nums` is it in lowest terms."""
         if not self.support:
             raise InputValidationError("a certificate needs a nonempty support")
-        if len(self.support) != len(self.lam):
+        if len(self.support) != len(nums):
             raise InputValidationError("support and coefficient vector lengths differ")
-        # every check runs on one integer form: lam = nums / den
-        den = lcm(*(x.denominator for x in self.lam))
-        nums = tuple(x.numerator * (den // x.denominator) for x in self.lam)
         if not all(nums):
             raise InputValidationError("certificate coefficients must all be nonzero")
         if self.normalized and sum(map(abs, nums)) != den:
             raise InputValidationError("normalized certificate must have unit l1 norm")
-        object.__setattr__(self, "_nums", nums)
+        g = gcd(den, *nums)
+        object.__setattr__(self, "_nums", tuple(nums) if g == 1 else tuple(n // g for n in nums))
 
     def integer_lambda(self) -> Vector:
         """Integer content-1 form of the coefficients, first entry positive."""
@@ -76,15 +88,17 @@ def verify_certificate(inc: IncidenceMatrix, cert: ClosedPathCertificate) -> Non
     Checks the support ids, that all coefficients are nonzero, and that the
     coefficients sum to exactly zero over every level class.
     """
-    ordered = inc.sorted_support(cert.support)
-    if ordered != cert.support:
+    columns = list(map(inc.column_index, cert.support))
+    if columns != sorted(set(columns)):
         raise InternalInvariantError(f"certificate support {cert.support} is not in column order")
     if not all(cert._nums):
         raise InternalInvariantError("certificate carries a zero coefficient")
-    # a positive multiple of the coefficients, as ints: their sums are much cheaper
-    table = dict(zip(cert.support, cert._nums))
+    # a positive multiple of the coefficients, as ints by column: their sums are much cheaper
+    table = [0] * inc.n_points
+    for j, n in zip(columns, cert._nums):
+        table[j] = n
     for cls in inc.classes:
-        if sum(table[pid] for pid in cls.members if pid in table):
+        if sum(map(table.__getitem__, cls.columns)):
             raise InternalInvariantError("certificate vector does not annihilate the level classes")
 
 
@@ -101,8 +115,13 @@ def evaluate_certificate(cert: ClosedPathCertificate, values: Mapping[int, Fract
 
 def certificate_from_kernel_vector(inc: IncidenceMatrix, vec: Vector) -> ClosedPathCertificate:
     """Restrict a full-length kernel vector to its support."""
-    pairs = [(pid, x) for pid, x in zip(inc.point_ids, vec) if x is not _ZERO and x]
-    return ClosedPathCertificate(tuple(pid for pid, _ in pairs), tuple(x for _, x in pairs))
+    den, nums = _row(vec)
+    return ClosedPathCertificate._of(tuple(map(inc.point_ids.__getitem__, nums)), list(nums.values()), den)
+
+
+def _certificate(point_ids: Sequence[int], pairs: list[tuple[int, int]]) -> ClosedPathCertificate:
+    """The certificate of a kernel vector given as (column, integer) pairs."""
+    return ClosedPathCertificate._of(tuple(point_ids[j] for j, _ in pairs), [n for _, n in pairs], 1)
 
 
 def detect(inc: IncidenceMatrix) -> ClosedPathCertificate | None:
@@ -115,7 +134,7 @@ def detect(inc: IncidenceMatrix) -> ClosedPathCertificate | None:
     basis = kernel_basis(inc.matrix)
     if not basis:
         return None
-    return certificate_from_kernel_vector(inc, basis[0])  # the one vector read densely
+    return _certificate(inc.point_ids, basis._pairs(0))
 
 
 def _circuit(point_ids: Sequence[int], pairs: list[tuple[int, int]]) -> ClosedPathCertificate:
@@ -126,9 +145,8 @@ def _circuit(point_ids: Sequence[int], pairs: list[tuple[int, int]]) -> ClosedPa
     comes as the ascending (column, integer) pairs of `KernelBasis._pairs`,
     the first value positive.
     """
-    total = sum(abs(n) for _, n in pairs)
-    lam = {n: Fraction(n, total) for n in {n for _, n in pairs}}  # one Fraction per distinct coefficient
-    return ClosedPathCertificate(tuple(point_ids[j] for j, _ in pairs), tuple(lam[n] for _, n in pairs), True, True)
+    nums = [n for _, n in pairs]
+    return ClosedPathCertificate._of(tuple(point_ids[j] for j, _ in pairs), nums, sum(map(abs, nums)), True, True)
 
 
 def _closed_kernel(inc: IncidenceMatrix, support: Iterable[int]) -> tuple[tuple[int, ...], list[list[tuple[int, int]]]]:

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 from .errors import InputValidationError, InternalInvariantError
 from .linalg import _ONE, _ZERO, RationalMatrix, _row, kernel_basis, solve
 from .model import IncidenceMatrix, PointSet
-from .paths import ClosedPathCertificate, certificate_from_kernel_vector, evaluate_certificate
+from .paths import ClosedPathCertificate, _certificate, evaluate_certificate
 
 FunctionTable = Mapping[int, Fraction]
 
@@ -97,11 +97,11 @@ def is_representable(inc: IncidenceMatrix, f: FunctionTable) -> RepresentationRe
         return RepresentationResult(True, decomposition=Decomposition(tables, freedom, dict(zip(inc.point_ids, values))))
     # f - M^T g is zero on the pivot points and kernel vector k on the free points
     # but its own: the first point not reconstructed is the first violated vector's
-    k = bisect_left(basis._free, bad)
-    total = sum(n * fnums.get(j, 0) for j, n in basis._pairs(k)) if bad in free else 0
+    pairs = basis._pairs(bisect_left(basis._free, bad)) if bad in free else []
+    total = sum(n * fnums.get(j, 0) for j, n in pairs)
     if not total:  # pragma: no cover - the residual is zero on the pivot points
         raise InternalInvariantError("f is not reconstructed but is orthogonal to the kernel")
-    cert = certificate_from_kernel_vector(inc, basis[k])  # the one vector read densely
+    cert = _certificate(inc.point_ids, pairs)
     return RepresentationResult(False, violation=cert, violation_value=Fraction(total, fden))
 
 

@@ -19,12 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import floor, lcm
+from operator import add
 from typing import Literal, Sequence
 
 from .errors import ConstraintError, InputValidationError, InternalInvariantError
-from .linalg import _ONE, _ZERO, RationalMatrix, Vector, kernel_basis, solve
+from .linalg import _ONE, _ZERO, RationalMatrix, Vector, _fraction, kernel_basis, solve
 from .model import FunctionFamily, PointSet, build_incidence, coordinate_points
-from .paths import ClosedPathCertificate, _circuit, certificate_from_kernel_vector, detect, verify_certificate
+from .paths import ClosedPathCertificate, _certificate, _circuit, detect, verify_certificate
 
 _PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
@@ -138,7 +139,7 @@ def classify_ni(instance: RidgeInstance) -> NIClassification:
     if len(basis) == 1 and len(pairs) == inc.n_points:
         verdict = NIClassification("MNI", generator, _circuit(inc.point_ids, pairs))
     else:
-        verdict = NIClassification("NI", generator, certificate_from_kernel_vector(inc, generator))
+        verdict = NIClassification("NI", generator, _certificate(inc.point_ids, pairs))
     verify_certificate(inc, verdict.certificate)
     return verdict
 
@@ -159,7 +160,7 @@ class HypercubePath:
     lam: tuple[Fraction, ...]
 
     def certificate(self) -> ClosedPathCertificate:
-        return ClosedPathCertificate(self.instance.points.ids, self.lam, False, None)
+        return ClosedPathCertificate._of(self.instance.points.ids, [x.numerator for x in self.lam], 1)
 
 
 def _orthogonal_candidates(a: Sequence[int], den: int) -> list[tuple[int, ...]]:
@@ -213,6 +214,23 @@ def _offset_candidates(a: tuple[Fraction, ...], count: int) -> tuple[int, list[t
     return den, candidates
 
 
+# 2^14 points take about a second from the offsets to the verified path, 2^15 four.
+HYPERCUBE_DIRECTION_LIMIT = 14
+
+
+def _separating_powers(base: Sequence[tuple[int, tuple[int, ...]]]) -> list[int]:
+    """Factors B^0, ..., B^(r-1) for offsets c_i / D_i that keep the 2^r points apart.
+
+    w = (1, t, t^2, ...) with t = 1 + max|c_ik| has w . c_i != 0 by Cauchy's root
+    bound. With u_i = w . c_i / D_i and B > 1 + max|u| / min|u|, the highest index
+    where two sign patterns differ outweighs all lower ones in w . x.
+    """
+    t = 1 + max(abs(c) for _, vec in base for c in vec)
+    u = [abs(Fraction(sum(c * t**k for k, c in enumerate(vec)), den)) for den, vec in base]
+    b = floor(max(u) / min(u)) + 2
+    return [b**i for i in range(len(base))]
+
+
 def hypercube_path(
     directions: Sequence[Direction],
     center: Sequence[Fraction | int],
@@ -223,11 +241,15 @@ def hypercube_path(
     Offsets are chosen deterministically (orthogonal candidates scaled by
     distinct primes times `scale`) and must be pairwise linearly
     independent; if the 2^r resulting points collide the prime scalings are
-    shifted and the construction retried. The output is verified exactly
-    before it is returned.
+    shifted and the construction retried, and powers that separate the points
+    by construction come last. More than HYPERCUBE_DIRECTION_LIMIT directions
+    raise ConstraintError. The output is verified exactly before it is returned.
     """
     directions = tuple(directions)
     d = _dimension(directions)
+    r = len(directions)
+    if r > HYPERCUBE_DIRECTION_LIMIT:
+        raise ConstraintError(f"{r} directions exceed the hypercube path's limit of {HYPERCUBE_DIRECTION_LIMIT} directions")
     if d < 2:
         raise ConstraintError(
             "dimension 1 admits no nonzero vector orthogonal to a direction; need d >= 2"
@@ -239,7 +261,6 @@ def hypercube_path(
     if scale == 0:
         raise ConstraintError("scale must be nonzero; zero would collapse all points")
 
-    r = len(directions)
     base: list[tuple[int, tuple[int, ...]]] = []  # offset i before scaling is c / D
     for idx, dirn in enumerate(directions):
         den, candidates = _offset_candidates(dirn.vector, r + 2)
@@ -251,13 +272,16 @@ def hypercube_path(
             )
         base.append((den, picked))
     # coordinate k of every point is an integer over dens[k]; offset i is
-    # scale * prime_i * c_i / D_i
+    # scale * factor_i * c_i / D_i
     common = scale.denominator * lcm(*(den for den, _ in base))
     dens = [lcm(x.denominator, common) for x in center_vec]
-    start = [x.numerator * (m // x.denominator) for x, m in zip(center_vec, dens)]
+    start = tuple(x.numerator * (m // x.denominator) for x, m in zip(center_vec, dens))
     epsilons = tuple(product((0, 1), repeat=r))
-    for shift in range(len(_PRIMES) - r + 1):
-        factors = [scale.numerator * _PRIMES[shift + i] for i in range(r)]
+    signs = [1]  # (-1)^|eps| in epsilons order, by doubling
+    for _ in range(r):
+        signs += [-s for s in signs]
+    for primes in [*(_PRIMES[i : i + r] for i in range(len(_PRIMES) - r + 1)), _separating_powers(base)]:
+        factors = [scale.numerator * p for p in primes]
         offsets = tuple(
             tuple(Fraction(f * c, scale.denominator * den) if c else _ZERO for c in vec)
             for f, (den, vec) in zip(factors, base)
@@ -266,26 +290,23 @@ def hypercube_path(
             [f * c * (m // (scale.denominator * den)) for c, m in zip(vec, dens)]
             for f, (den, vec) in zip(factors, base)
         ]
-        numerators = []
-        for eps in epsilons:
-            point = start
-            for bit, step in zip(eps, steps):
-                if bit:
-                    point = [a + b for a, b in zip(point, step)]
-            numerators.append(tuple(point))
+        # in epsilons order, by doubling: the last step first, each shifting all points so far
+        numerators = [start]
+        for step in reversed(steps):
+            numerators += [tuple(map(add, point, step)) for point in numerators]
         if len(set(numerators)) == len(numerators):
             # one Fraction per distinct coordinate value
             columns = list(zip(*numerators))
             axes = [{n: Fraction(n, m) for n in set(column)} for column, m in zip(columns, dens)]
             coords = [tuple(axis[n] for axis, n in zip(axes, point)) for point in numerators]
             points = coordinate_points(coords)
-            lam = tuple((_ONE, -_ONE)[sum(eps) % 2] for eps in epsilons)
+            lam = tuple(map(_fraction, signs))
             instance = _tabulate(directions, points, columns, dens)
             path = HypercubePath(center_vec, offsets, epsilons, instance, lam)
             # nonzero signs that annihilate every level class: a closed path
             verify_certificate(build_incidence(points, instance.family), path.certificate())
             return path
-    raise InternalInvariantError("could not separate the hypercube points")  # pragma: no cover
+    raise InternalInvariantError("could not separate the hypercube points")  # pragma: no cover - the powers do
 
 
 ExampleKind = Literal["parallel-lines", "zigzag", "staircase", "transversal-curve"]

@@ -12,8 +12,10 @@ package is what makes the cross-checks in the test suite meaningful.
 over Fraction, the reference the sparse elimination engine must match;
 `dense_columns`, `dense_transpose`, `dense_product` and `unit_l1` are the
 plain restrictions, transposes, products and scalings that storage,
-annihilation and normalization checks compare against, and `recombined` sums
-a decomposition's g-tables through the family at every point.
+annihilation and normalization checks compare against, `recombined` sums
+a decomposition's g-tables through the family at every point, and
+`hypercube_reference` lists a hypercube path's points and signs one sign
+pattern at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from linsuper import FunctionFamily, IncidenceMatrix, PointSet, RationalMatrix, abstract_points
 
@@ -276,3 +278,13 @@ def unit_l1(vec) -> tuple[Fraction, ...]:
     if next(x for x in vec if x) < 0:
         total = -total
     return tuple(Fraction(x) / total for x in vec)
+
+
+def hypercube_reference(center, offsets) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """The points center + sum(eps_i * offset_i) and the signs (-1)^|eps|, for eps in
+    itertools.product order, each point summed from the center on its own."""
+    points, signs = [], []
+    for eps in product((0, 1), repeat=len(offsets)):
+        points.append(tuple(c + sum((e * off[k] for e, off in zip(eps, offsets)), Fraction(0)) for k, c in enumerate(center)))
+        signs.append((-1) ** sum(eps))
+    return points, signs

@@ -713,6 +713,20 @@ def test_exhaustive_node_limit_counts_every_node_of_the_search(monkeypatch, tmp_
     assert f"limit of {nodes - 1} nodes" in capsys.readouterr().err
 
 
+def test_hypercube_over_the_direction_limit_exits_2_at_once(tmp_path, capsys):
+    from linsuper.ridge import HYPERCUBE_DIRECTION_LIMIT
+
+    r = HYPERCUBE_DIRECTION_LIMIT + 1
+    directions = [[str(x) for x in (1, k, k * k % 7 + 1, k**3 % 5)] for k in range(1, r + 1)]
+    doc = {"format": 1, "points": [{"id": 1, "coords": ["0"] * 4}], "functions": {"kind": "ridge", "directions": directions}}
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main(["ridge", "hypercube", str(path), "--json"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert f"limit of {HYPERCUBE_DIRECTION_LIMIT} directions" in capsys.readouterr().err
+
+
 def test_parser_is_built_once():
     from linsuper.cli import build_parser
 

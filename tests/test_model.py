@@ -106,6 +106,26 @@ def test_counting_invariants(seed):
 
 
 @given(st.integers(0, 10_000))
+def test_level_class_members_are_the_ids_at_its_columns(seed):
+    # the columns are the one storage; the member ids are read off them, and
+    # equality and hashing go by (function index, value, members)
+    ps, ff = instances(seed)
+    first, second = build_incidence(ps, ff), build_incidence(ps, ff)
+    for cls in first.classes:
+        assert cls.members == frozenset(ps.ids[j] for j in cls.columns)
+    assert first.classes == second.classes and first == second
+    assert set(first.classes) == set(second.classes)
+    assert len(set(first.classes + second.classes)) == len(first.classes)
+
+
+def test_level_classes_of_equal_tables_differ_by_function_index():
+    ps = abstract_points([1, 2])
+    first, second = build_level_classes(ps, FunctionFamily(({1: F(0), 2: F(0)},) * 2))
+    assert (first.value, first.members) == (second.value, second.members)
+    assert first != second and len({first, second}) == 2
+
+
+@given(st.integers(0, 10_000))
 def test_matrix_and_per_point_rows_are_views_of_the_classes(seed):
     # the classes' column lists are the one storage: the rows of M carry their
     # ones, and each point's cached rows are its row of M^T

@@ -395,9 +395,52 @@ def test_certificate_checks_match_the_fraction_formulas(raw, unit, nudge):
         assert cert.normalized_lambda() == unit_l1(lam)
 
 
+@given(
+    st.lists(st.integers(-5, 5), max_size=6),
+    st.one_of(st.none(), st.integers(1, 12)),
+    st.booleans(),
+    st.integers(-1, 1),
+)
+@example([], 1, False, 0)
+@example([2, -2], None, True, 0)
+@example([3, 0, -3], 6, True, 0)
+def test_integer_constructor_matches_the_fraction_one(nums, den, normalized, extra):
+    # _of(support, nums, den) builds from the integers what the public
+    # constructor builds from lam = nums / den: equal certificates with equal
+    # `_nums`, or the same error; den None is the l1 norm, a unit-norm vector
+    den = den or sum(map(abs, nums)) or 1
+    support = tuple(range(1, len(nums) + 1 + extra))
+
+    def built(make):
+        try:
+            return make(), None
+        except InputValidationError as exc:
+            return None, str(exc)
+
+    by_ints, error = built(lambda: ClosedPathCertificate._of(support, nums, den, normalized))
+    by_fractions, expected = built(lambda: ClosedPathCertificate(support, tuple(F(n, den) for n in nums), normalized))
+    assert error == expected
+    if by_ints is not None:
+        assert by_ints == by_fractions and by_ints._nums == by_fractions._nums
+
+
+@pytest.mark.parametrize("bad", range(4))
+def test_verify_rejects_a_vector_failing_one_level_class(bad):
+    # one function with four two-point classes: the signs cancel on every class
+    # but `bad`, so exactly one class sum is nonzero
+    from linsuper import InternalInvariantError
+
+    ps = abstract_points(list(range(1, 9)))
+    inc = build_incidence(ps, FunctionFamily(({pid: F((pid - 1) // 2) for pid in ps.ids},)))
+    lam = tuple(F(1 if j % 2 == 0 or j // 2 == bad else -1) for j in range(8))
+    with pytest.raises(InternalInvariantError, match="annihilate"):
+        verify_certificate(inc, ClosedPathCertificate(ps.ids, lam))
+    verify_certificate(inc, ClosedPathCertificate(ps.ids, tuple(F((-1) ** j) for j in range(8))))
+
+
 def test_detect_on_a_grid_builds_at_most_one_dense_vector(monkeypatch):
     # detect keeps one kernel vector of the 361 of a 20x20 grid; it reads it
-    # as integer pairs, so no dense kernel vector need be built at all
+    # as integer pairs, so no dense kernel vector is built at all
     import linsuper.linalg
 
     ps = coordinate_points([(F(x), F(y)) for x in range(20) for y in range(20)])
@@ -411,7 +454,7 @@ def test_detect_on_a_grid_builds_at_most_one_dense_vector(monkeypatch):
 
     monkeypatch.setattr(linsuper.linalg, "_dense", counting)
     cert = detect(inc)
-    assert len(built) <= 1
+    assert built == []
     verify_certificate(inc, cert)
     assert len(kernel_basis(inc.matrix)) == 19 * 19
 

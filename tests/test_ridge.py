@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given
@@ -23,9 +24,11 @@ from linsuper import (
     make_witness,
     ridge_instance,
     triangle_wave,
+    verify_certificate,
 )
+from linsuper.ridge import HYPERCUBE_DIRECTION_LIMIT, _separating_powers
 
-from oracles import dense_product, dense_transpose, integer_rows, oracle_minimal_paths
+from oracles import dense_product, dense_transpose, hypercube_reference, integer_rows, oracle_minimal_paths
 
 F = Fraction
 
@@ -137,6 +140,57 @@ def test_hypercube_rejects_dimension_one():
 def test_hypercube_rejects_parallel_plane_directions():
     with pytest.raises(ConstraintError):
         hypercube_path([direction((1, 1)), direction((2, 2))], (0, 0), 1)
+
+
+PLANE_DIRECTIONS = [(1, 0), (0, 1), (1, 1), (1, 2), (1, -1), (2, 1), (1, 3)]
+SPACE_DIRECTIONS = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)]
+
+
+@pytest.mark.parametrize("vectors, center, scale", [
+    (PLANE_DIRECTIONS, (F(1, 2), -3), F(1, 5)),
+    (SPACE_DIRECTIONS, (2, F(-7, 3), 0, F(1, 4)), F(-3, 2)),
+], ids=["plane", "R4"])
+@pytest.mark.parametrize("r", range(1, 8))
+def test_hypercube_points_and_signs_follow_the_sign_patterns(vectors, center, scale, r):
+    path = hypercube_path([direction(v) for v in vectors[:r]], center, scale)
+    points, signs = hypercube_reference(path.center, path.offsets)
+    assert [p.coords for p in path.instance.points.points] == points
+    assert [int(x) for x in path.lam] == signs
+    assert path.epsilons == tuple(product((0, 1), repeat=r))
+
+
+def test_hypercube_separates_points_when_every_prime_window_collides():
+    # with 13 directions (1, k) the 2^13 subset sums collide under every window
+    # of primes; the power scaling separates them by construction
+    path = hypercube_path([direction((1, k)) for k in range(1, 14)], (0, 0), 1)
+    coords = [p.coords for p in path.instance.points.points]
+    assert len(coords) == len(set(coords)) == 2**13
+    verify_certificate(build_incidence(path.instance.points, path.instance.family), path.certificate())
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(st.integers(1, 6), st.lists(st.integers(-4, 4), min_size=d, max_size=d).filter(any)),
+    min_size=1, max_size=7,
+)))
+def test_separating_powers_keep_every_sign_pattern_apart(base):
+    # offsets c_i / D_i scaled by B^i: no two subset sums coincide, even for
+    # parallel or repeated offsets
+    factors = _separating_powers(base)
+    offsets = [[F(f * c, den) for c in vec] for f, (den, vec) in zip(factors, base)]
+    points, _ = hypercube_reference([F(0)] * len(base[0][1]), offsets)
+    assert len(set(points)) == 2 ** len(base)
+
+
+def test_hypercube_over_the_direction_limit_fails_before_building_points(monkeypatch):
+    import linsuper.ridge
+
+    def no_offsets(*args):
+        raise AssertionError("offsets were chosen over the limit")
+
+    monkeypatch.setattr(linsuper.ridge, "_offset_candidates", no_offsets)
+    dirs = [direction((1, k, 0, 1)) for k in range(HYPERCUBE_DIRECTION_LIMIT + 1)]
+    with pytest.raises(ConstraintError, match=f"limit of {HYPERCUBE_DIRECTION_LIMIT} directions"):
+        hypercube_path(dirs, (0, 0, 0, 0), 1)
 
 
 def test_hypercube_interior_points_defeat_representability():
